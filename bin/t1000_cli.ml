@@ -210,6 +210,53 @@ let apply_bpred = function
           Format.eprintf "t1000_cli: --bpred: %s@." e;
           exit 2)
 
+(* -j/--jobs for the engine-driven commands (experiment, dse, fuzz),
+   exported as T1000_NJOBS like --bpred.  serve and supervise keep their
+   own -j: it feeds Server.config, which validates it. *)
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains (overrides $(b,T1000_NJOBS); 1 = sequential).")
+
+let apply_jobs = function
+  | Some n when n < 1 ->
+      Format.eprintf "t1000_cli: -j/--jobs must be >= 1, got %d@." n;
+      exit 2
+  | Some n -> Unix.putenv "T1000_NJOBS" (string_of_int n)
+  | None -> ()
+
+let resume_arg =
+  Arg.(
+    value & flag
+    & info [ "resume" ]
+        ~doc:
+          "Resume from the checkpoint journal in $(b,T1000_CHECKPOINT_DIR) \
+           instead of starting it afresh: already-recorded results are \
+           reused, only the rest are recomputed.")
+
+(* The journal for [run] in T1000_CHECKPOINT_DIR, if that is set.  A
+   plain (non --resume) run starts it afresh so stale records never leak
+   into new results; --resume without a directory exits 2. *)
+let open_journal ~resume ~run =
+  match T1000.Checkpoint.default_dir () with
+  | None ->
+      if resume then begin
+        Format.eprintf
+          "t1000_cli: --resume needs %s to point at the journal directory@."
+          T1000.Checkpoint.env_var;
+        exit 2
+      end;
+      None
+  | Some dir ->
+      let j = T1000.Checkpoint.create ~fresh:(not resume) ~dir ~run () in
+      List.iter
+        (Format.eprintf "t1000_cli: dropped corrupt checkpoint record: %s@.")
+        (T1000.Checkpoint.corrupt j);
+      Some j
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -292,8 +339,9 @@ let mine_cmd =
 (* ---- replay ---- *)
 
 let replay_cmd =
-  let run w path pfus penalty =
+  let run w path pfus penalty bpred =
     with_faults @@ fun () ->
+    apply_bpred bpred;
     let text = In_channel.with_open_text path In_channel.input_all in
     match T1000_select.Extinstr.of_text text with
     | Error msg ->
@@ -302,8 +350,11 @@ let replay_cmd =
     | Ok table ->
         let rw = T1000_select.Rewrite.apply w.T1000_workloads.Workload.program table in
         T1000.Runner.verify_outputs w table rw.T1000_select.Rewrite.program;
+        (* Runner.setup validates the PFU flags and picks up the
+           T1000_BPRED predictor *)
+        let s = setup_of T1000.Runner.Selective pfus penalty in
         let machine =
-          T1000_ooo.Mconfig.with_pfus ~penalty pfus T1000_ooo.Mconfig.default
+          T1000_ooo.Mconfig.with_pfus ~penalty pfus s.T1000.Runner.machine
         in
         let ext_latency eid =
           (T1000_select.Extinstr.get table eid).T1000_select.Extinstr.latency
@@ -315,7 +366,8 @@ let replay_cmd =
             rw.T1000_select.Rewrite.program
         in
         Format.printf
-          "replayed %d configurations (%d sites collapsed, outputs            verified)@.%a@."
+          "replayed %d configurations (%d sites collapsed, outputs \
+           verified)@.%a@."
           (T1000_select.Extinstr.count table)
           rw.T1000_select.Rewrite.collapsed T1000_ooo.Stats.pp stats
   in
@@ -328,8 +380,9 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Rewrite and simulate a workload with a previously saved           extended-instruction table (the paper's second input file).")
-    Term.(const run $ workload_arg $ path $ pfus_arg $ penalty_arg)
+         "Rewrite and simulate a workload with a previously saved \
+          extended-instruction table (the paper's second input file).")
+    Term.(const run $ workload_arg $ path $ pfus_arg $ penalty_arg $ bpred_arg)
 
 (* ---- run ---- *)
 
@@ -398,33 +451,9 @@ let experiment_cmd =
   let run jobs resume selfcheck bpred trace ids =
     setup_trace trace;
     apply_bpred bpred;
-    (match jobs with
-    | Some n when n < 1 ->
-        Format.eprintf "t1000_cli: -j/--jobs must be >= 1, got %d@." n;
-        exit 2
-    | Some n -> Unix.putenv "T1000_NJOBS" (string_of_int n)
-    | None -> ());
+    apply_jobs jobs;
     if selfcheck then Unix.putenv "T1000_SELFCHECK" "1";
-    let checkpoint_dir = T1000.Checkpoint.default_dir () in
-    if resume && checkpoint_dir = None then begin
-      Format.eprintf
-        "t1000_cli: --resume needs %s to point at the journal directory@."
-        T1000.Checkpoint.env_var;
-      exit 2
-    end;
     let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
-    (* One journal file per experiment id; a plain (non --resume) run
-       starts it afresh so stale records never leak into new results. *)
-    let journal_for id =
-      Option.map
-        (fun dir ->
-          let j = T1000.Checkpoint.create ~fresh:(not resume) ~dir ~run:id () in
-          List.iter
-            (Format.eprintf "t1000_cli: dropped corrupt checkpoint record: %s@.")
-            (T1000.Checkpoint.corrupt j);
-          j)
-        checkpoint_dir
-    in
     let faults = ref [] in
     let collect : type row. row T1000.Experiment.partial -> row list =
      fun p ->
@@ -432,7 +461,8 @@ let experiment_cmd =
       p.T1000.Experiment.rows
     in
     let dispatch id =
-      let journal = journal_for id in
+      (* one journal file per experiment id *)
+      let journal = open_journal ~resume ~run:id in
       match id with
       | "f2" ->
           Format.printf "%a@." T1000.Report.pp_figure2
@@ -471,39 +501,18 @@ let experiment_cmd =
       & info [] ~docv:"ID"
           ~doc:"Experiment ids: f2 t41 f6 s52 f7, or ablations a1-a9.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the experiment engine (overrides \
-             $(b,T1000_NJOBS); 1 = sequential).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume from the checkpoint journal in $(b,T1000_CHECKPOINT_DIR) \
-             instead of starting it afresh: already-recorded (workload x \
-             point) results are reused, only the rest are recomputed.")
-  in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables/figures.")
-    Term.(const run $ jobs $ resume $ selfcheck_arg $ bpred_arg $ trace_arg $ ids)
+    Term.(
+      const run $ jobs_arg $ resume_arg $ selfcheck_arg $ bpred_arg $ trace_arg
+      $ ids)
 
 (* ---- dse ---- *)
 
 let dse_cmd =
   let run jobs resume budget axes full json trace =
     setup_trace trace;
-    (match jobs with
-    | Some n when n < 1 ->
-        Format.eprintf "t1000_cli: -j/--jobs must be >= 1, got %d@." n;
-        exit 2
-    | Some n -> Unix.putenv "T1000_NJOBS" (string_of_int n)
-    | None -> ());
+    apply_jobs jobs;
     if budget < 1 then begin
       Format.eprintf "t1000_cli: --budget must be >= 1, got %d@." budget;
       exit 2
@@ -518,26 +527,8 @@ let dse_cmd =
               Format.eprintf "t1000_cli: bad --axes: %s@." msg;
               exit 2)
     in
-    let checkpoint_dir = T1000.Checkpoint.default_dir () in
-    if resume && checkpoint_dir = None then begin
-      Format.eprintf
-        "t1000_cli: --resume needs %s to point at the journal directory@."
-        T1000.Checkpoint.env_var;
-      exit 2
-    end;
     with_faults @@ fun () ->
-    let journal =
-      Option.map
-        (fun dir ->
-          let j =
-            T1000.Checkpoint.create ~fresh:(not resume) ~dir ~run:"dse" ()
-          in
-          List.iter
-            (Format.eprintf "t1000_cli: dropped corrupt checkpoint record: %s@.")
-            (T1000.Checkpoint.corrupt j);
-          j)
-        checkpoint_dir
-    in
+    let journal = open_journal ~resume ~run:"dse" in
     let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
     let r =
       T1000_dse.Engine.explore ?journal ~budget
@@ -558,23 +549,6 @@ let dse_cmd =
     | fs ->
         Format.eprintf "%a@." T1000.Report.pp_faults fs;
         exit 3
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the exploration (overrides \
-             $(b,T1000_NJOBS); 1 = sequential).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume from the $(b,dse) checkpoint journal in \
-             $(b,T1000_CHECKPOINT_DIR) instead of starting it afresh.")
   in
   let budget =
     Arg.(
@@ -622,7 +596,8 @@ let dse_cmd =
           penalty x LUT-budget x replacement x gain x machine-width space, \
           with dominance pruning, checkpoint/resume and worker-pool fan-out.")
     Term.(
-      const run $ jobs $ resume $ budget $ axes $ full $ json $ trace_arg)
+      const run $ jobs_arg $ resume_arg $ budget $ axes $ full $ json
+      $ trace_arg)
 
 (* ---- stats ---- *)
 
@@ -694,12 +669,7 @@ let trace_check_cmd =
 
 let fuzz_cmd =
   let run jobs seed cases chaos drills out_dir =
-    (match jobs with
-    | Some n when n < 1 ->
-        Format.eprintf "t1000_cli: -j/--jobs must be >= 1, got %d@." n;
-        exit 2
-    | Some n -> Unix.putenv "T1000_NJOBS" (string_of_int n)
-    | None -> ());
+    apply_jobs jobs;
     with_faults @@ fun () ->
     Format.printf "fuzz: seed %d, %d differential case(s), %d drill(s)%s@."
       seed cases drills
@@ -747,13 +717,6 @@ let fuzz_cmd =
     end
     else Format.printf "fuzz: clean@."
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains for the fuzz sweep (overrides $(b,T1000_NJOBS)).")
-  in
   let seed =
     Arg.(
       value & opt int 42
@@ -795,7 +758,7 @@ let fuzz_cmd =
           the whole pipeline against the functional interpreter, with \
           shrinking, checkpoint corruption drills and an optional chaos \
           soak.")
-    Term.(const run $ jobs $ seed $ cases $ chaos $ drills $ out_dir)
+    Term.(const run $ jobs_arg $ seed $ cases $ chaos $ drills $ out_dir)
 
 (* ---- serve / client ---- *)
 

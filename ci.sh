@@ -137,10 +137,10 @@ grep -q "pool.tasks" "$CKPT_DIR/obs_traced.err" || {
 }
 
 echo "== bpred: perfect predictor is the identity, a9 smokes =="
-# The speculative front end defaults off: an explicit --bpred perfect
-# must be byte-identical to the flagless run (same sweep as the obs leg
-# above), and the speculation ablation must complete on the reduced
-# suite under a hard timeout.
+# The front end's default predictor is perfect: an explicit --bpred
+# perfect must be byte-identical to the flagless run (same sweep as the
+# obs leg above), and the speculation ablation must complete on the
+# reduced suite under a hard timeout.
 BPRED_OUT="$CKPT_DIR/bpred_perfect.out"
 T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 \
   timeout 900 dune exec bin/t1000_cli.exe -- \
@@ -154,6 +154,19 @@ T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 \
   > "$CKPT_DIR/bpred_a9.out"
 grep -q "gsh2k/sel" "$CKPT_DIR/bpred_a9.out" || {
   echo "ablation a9 did not print its predictor columns" >&2
+  exit 1
+}
+
+echo "== bpred: pinned front-end statistics on every kernel =="
+# One pass of the benchmark's kernels matrix (8 kernels x 3 setups x
+# perfect/bimodal@11/gshare@11) must reproduce all 72 pinned statistics
+# lines, mispredicts, squashed and fetch stalls included.
+KERNELS_OUT="$CKPT_DIR/bench_kernels.out"
+timeout 900 dune exec bench/suite/t1000_bench.exe -- \
+  once --workload kernels --seconds 1 --trace 0 > "$KERNELS_OUT"
+tail -n 1 "$KERNELS_OUT" | grep -q '"correct":true' || {
+  echo "kernel statistics differ from bench/suite/expect/kernels.txt" >&2
+  tail -n 1 "$KERNELS_OUT" >&2
   exit 1
 }
 

@@ -102,7 +102,7 @@ let create spec =
   in
   {
     spec;
-    (* weakly taken, matching the legacy blocking bimodal model *)
+    (* weakly taken *)
     counters = Bytes.make (max entries 1) '\002';
     mask = max (entries - 1) 0;
     hist = 0;

@@ -528,10 +528,11 @@ let latency_model_sweep ctx = strict (latency_model_sweep_result ctx)
 
 let branch_predictor_sweep_result ?journal ctx =
   let preds =
-    [ ("perfect", Mconfig.Perfect); ("bimodal-2k", Mconfig.Bimodal 2048) ]
+    T1000_bpred.Predictor.
+      [ ("perfect", Perfect); ("bimodal-2k", Bimodal 11 (* 2048 counters *)) ]
   in
   sweep_partial ?journal ~id:"a7" ctx preds (fun w bp ->
-      let machine = { Mconfig.default with Mconfig.branch_pred = bp } in
+      let machine = { Mconfig.default with Mconfig.bpred = bp } in
       let sel_setup =
         {
           (Runner.setup ~n_pfus:(Some 4) Runner.Selective) with

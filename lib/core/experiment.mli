@@ -140,8 +140,9 @@ val latency_model_sweep : ctx -> sweep_row list
 
 val branch_predictor_sweep : ctx -> sweep_row list
 (** A7: selective 4-PFU speedup under perfect branch prediction (the
-    paper's assumption) vs a 2K-entry bimodal predictor, each against a
-    baseline with the same predictor. *)
+    paper's assumption) vs the speculative front end with a 2K-entry
+    bimodal predictor ([Bimodal 11]), each against a baseline with the
+    same predictor. *)
 
 val prefetch_sweep : ?penalties:int list -> ctx -> sweep_row list
 (** A8: selective 2-PFU speedup with and without [cfgld] configuration

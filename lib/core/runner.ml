@@ -37,14 +37,8 @@ let validate s =
       s.gain_threshold;
   if s.lut_budget <= 0 then
     Fault.invalid_config "lut_budget must be positive, got %d" s.lut_budget;
-  (try T1000_bpred.Predictor.validate_spec s.machine.Mconfig.bpred
-   with Invalid_argument m -> Fault.invalid_config "%s" m);
-  (match (s.machine.Mconfig.bpred, s.machine.Mconfig.branch_pred) with
-  | T1000_bpred.Predictor.Perfect, _ | _, Mconfig.Perfect -> ()
-  | _, Mconfig.Bimodal _ ->
-      Fault.invalid_config
-        "bpred (speculative front end) and branch_pred (legacy blocking \
-         predictor) cannot both be non-perfect")
+  try T1000_bpred.Predictor.validate_spec s.machine.Mconfig.bpred
+  with Invalid_argument m -> Fault.invalid_config "%s" m
 
 let setup ?(n_pfus = Some 2) ?(penalty = 10) ?selfcheck method_ =
   let selfcheck =

@@ -6,6 +6,8 @@ module Memory = T1000_machine.Memory
 module Regfile = T1000_machine.Regfile
 module Workload = T1000_workloads.Workload
 module Stats = T1000_ooo.Stats
+module Mconfig = T1000_ooo.Mconfig
+module Bp = T1000_bpred.Predictor
 
 type failure = { method_ : string; invariant : string; detail : string }
 
@@ -30,6 +32,34 @@ let interp_run (w : Workload.t) table program =
   let steps = Interp.run ~max_steps:50_000_000 it in
   (steps, Workload.output w mem)
 
+(* The front end squashes once per misprediction, and the always-right
+   [Perfect] predictor never mispredicts nor fetches down a wrong
+   path. *)
+let front_end method_ (r : Runner.run) =
+  let s = r.Runner.stats in
+  let violation fmt =
+    Format.kasprintf
+      (fun detail -> Error { method_; invariant = "front-end"; detail })
+      fmt
+  in
+  if s.Stats.squashes <> s.Stats.branch_mispredicts then
+    violation "%d squashes for %d mispredictions" s.Stats.squashes
+      s.Stats.branch_mispredicts
+  else if
+    Bp.is_perfect r.Runner.used.Runner.machine.Mconfig.bpred
+    && (s.Stats.branch_mispredicts <> 0
+       || s.Stats.wrong_path_fetched <> 0
+       || s.Stats.squashed_instrs <> 0)
+  then
+    violation
+      "perfect predictor: %d mispredictions, %d wrong-path fetched, %d \
+       squashed"
+      s.Stats.branch_mispredicts s.Stats.wrong_path_fetched
+      s.Stats.squashed_instrs
+  else Ok ()
+
+let ( let* ) = Result.bind
+
 let check (c : Gen.case) : (unit, failure) result =
   let fail method_ invariant fmt =
     Format.kasprintf
@@ -48,6 +78,7 @@ let check (c : Gen.case) : (unit, failure) result =
         "simulator committed %d instructions but the interpreter retired %d"
         baseline.Runner.stats.Stats.committed steps0
     else
+      let* () = front_end "baseline" baseline in
       let check_one name method_ =
         let r = Runner.run ~analysis w (Gen.setup ~method_ c) in
         let steps1, out1 = interp_run w r.Runner.table r.Runner.program in
@@ -71,14 +102,14 @@ let check (c : Gen.case) : (unit, failure) result =
                retired %d"
               committed steps1
           else
+            let* () = front_end name r in
             let sp = Runner.speedup ~baseline r in
             if not (Float.is_finite sp && sp > 0.0) then
               fail name "speedup" "speedup %g is not finite and positive" sp
             else Ok ()
       in
-      match check_one "greedy" Runner.Greedy with
-      | Error _ as e -> e
-      | Ok () -> check_one "selective" Runner.Selective
+      let* () = check_one "greedy" Runner.Greedy in
+      check_one "selective" Runner.Selective
   with
   | Fault.Error f ->
       Error

@@ -12,6 +12,9 @@
       original;
     - the timing simulator commits exactly the instruction count the
       interpreter retires, for baseline and rewritten programs alike;
+    - front end: every run squashes exactly once per misprediction,
+      and under the [Perfect] predictor no run mispredicts, fetches
+      down a wrong path or squashes anything;
     - the measured speedup is finite and positive.
 
     [T1000_FAULT_INJECT=fuzz-oracle] arms a deliberate off-by-one in

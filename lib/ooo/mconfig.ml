@@ -3,10 +3,6 @@ type pfu_replacement =
   | Fifo
   | Random_det
 
-type branch_predictor =
-  | Perfect
-  | Bimodal of int
-
 type t = {
   fetch_width : int;
   decode_width : int;
@@ -20,7 +16,6 @@ type t = {
   n_pfus : int option;
   pfu_reconfig_cycles : int;
   pfu_replacement : pfu_replacement;
-  branch_pred : branch_predictor;
   bpred : T1000_bpred.Predictor.spec;
   cache : T1000_cache.Hierarchy.config;
   max_cycles : int;
@@ -41,7 +36,6 @@ let default =
     n_pfus = Some 0;
     pfu_reconfig_cycles = 10;
     pfu_replacement = Lru;
-    branch_pred = Perfect;
     bpred = T1000_bpred.Predictor.Perfect;
     cache = T1000_cache.Hierarchy.default_config;
     max_cycles = 2_000_000_000;

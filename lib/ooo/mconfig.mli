@@ -3,8 +3,9 @@
     The defaults model the paper's substrate: a 4-wide out-of-order
     superscalar (fetch/decode/issue/commit four per cycle), a Register
     Update Unit for renaming and in-order retirement, perfect branch
-    prediction, realistic L1/L2 caches and TLBs — plus zero or more
-    PFUs with a configurable reconfiguration penalty. *)
+    prediction ([bpred = Perfect]), realistic L1/L2 caches and TLBs —
+    plus zero or more PFUs with a configurable reconfiguration
+    penalty. *)
 
 (** PFU replacement policy (paper: LRU). *)
 type pfu_replacement =
@@ -12,14 +13,6 @@ type pfu_replacement =
   | Fifo
   | Random_det  (** deterministic pseudo-random (xorshift), for the
                     replacement-policy ablation *)
-
-(** Branch prediction model.  The paper simulates with perfect
-    prediction; [Bimodal] adds the classic 2-bit-counter predictor with
-    a last-target buffer for indirect jumps, modelling mispredictions
-    as fetch-redirect stalls until the branch resolves. *)
-type branch_predictor =
-  | Perfect
-  | Bimodal of int  (** number of 2-bit counters (power of two) *)
 
 type t = {
   fetch_width : int;
@@ -34,14 +27,12 @@ type t = {
   n_pfus : int option;  (** [None] = unlimited (one per configuration) *)
   pfu_reconfig_cycles : int;
   pfu_replacement : pfu_replacement;
-  branch_pred : branch_predictor;  (** paper default: [Perfect] *)
   bpred : T1000_bpred.Predictor.spec;
-      (** speculative front-end predictor ({!T1000_bpred.Predictor}):
-          under any non-[Perfect] value {!Sim.run} fetches down the
-          predicted path, dispatches wrong-path instructions into the
-          RUU/PFUs and squashes them when the branch resolves.
-          Mutually exclusive with a non-[Perfect] [branch_pred] (the
-          legacy blocking model kept for the a7 ablation) *)
+      (** the front end's branch predictor ({!T1000_bpred.Predictor});
+          paper default: [Perfect], the predictor that is always right.
+          Under any other value {!Sim.run} fetches down the predicted
+          path, dispatches wrong-path instructions into the RUU/PFUs
+          and squashes them when the branch resolves *)
   cache : T1000_cache.Hierarchy.config;
   max_cycles : int;
       (** simulation cycle budget; {!Sim.run} raises {!Sim.Sim_stuck}

@@ -105,51 +105,34 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let ruu_full_stalls = ref 0 in
   let fetch_resume = ref 0 in
   let last_fetch_line = ref (-1) in
-  (* Branch predictor state (Bimodal only). *)
   let mispredicts = ref 0 in
   let fetch_stall_cycles = ref 0 in
   let occupancy_sum = ref 0 in
-  let bimodal_entries =
-    match mconfig.Mconfig.branch_pred with
-    | Mconfig.Perfect -> 0
-    | Mconfig.Bimodal n ->
-        if n <= 0 || n land (n - 1) <> 0 then
-          invalid_arg "Sim.run: Bimodal entries must be a power of two"
-        else n
-  in
-  let counters = Array.make (max bimodal_entries 1) 2 (* weakly taken *) in
-  let btb : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (* A mispredicted control instruction blocks fetch until it resolves:
-     first while it sits in the IFQ, then while it is in flight. *)
-  let blocking : [ `None | `In_ifq | `In_flight of int ] ref = ref `None in
   let line_shift =
     let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
     log2 mconfig.Mconfig.cache.Hierarchy.l1i_line 0
   in
   let l1_hit = mconfig.Mconfig.cache.Hierarchy.l1_hit in
 
-  (* --- Speculative front end (Mconfig.bpred <> Perfect) ---
-     Fetch follows the predictor instead of the dynamic trace.  On a
-     misprediction, fetch switches to synthesizing instructions from
-     the static program image down the predicted path; those wrong-path
-     entries dispatch into the RUU (and PFU file) like any others, and
-     are squashed when the mispredicted branch resolves.  The dynamic
-     trace itself is never consumed down a wrong path, so recovery is
-     simply resuming normal fetch. *)
-  let spec_enabled = not (Bp.is_perfect mconfig.Mconfig.bpred) in
-  if spec_enabled && mconfig.Mconfig.branch_pred <> Mconfig.Perfect then
-    invalid_arg
-      "Sim.run: the speculative front end (bpred) and the legacy \
-       blocking predictor (branch_pred) are mutually exclusive";
+  (* --- Front end ---
+     Fetch follows the predictor ([Mconfig.bpred]) instead of the
+     dynamic trace.  [Perfect] is the predictor that is always right:
+     fetch then follows the committed path exactly, never touching the
+     predictor tables.  On a misprediction, fetch switches to
+     synthesizing instructions from the static program image down the
+     predicted path; those wrong-path entries dispatch into the RUU
+     (and PFU file) like any others, and are squashed when the
+     mispredicted branch resolves.  The dynamic trace itself is never
+     consumed down a wrong path, so recovery is simply resuming normal
+     fetch. *)
+  let perfect = Bp.is_perfect mconfig.Mconfig.bpred in
   let pred = Bp.create mconfig.Mconfig.bpred in
   let static_code =
-    if spec_enabled then T1000_asm.Program.instrs program else [||]
+    if perfect then [||] else T1000_asm.Program.instrs program
   in
   (* The single unresolved misprediction: every instruction fetched
      after it is wrong-path, so one checkpoint suffices. *)
-  let spec_pending : [ `None | `In_ifq | `In_flight of int ] ref =
-    ref `None
-  in
+  let pending : [ `None | `In_ifq | `In_flight of int ] ref = ref `None in
   let wp_active = ref false in
   let wp_index = ref 0 in
   let mispredict_at = ref 0 in
@@ -171,21 +154,6 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     (not e.Ruu.issued)
     && !now >= e.Ruu.min_issue
     && dep_ready e.Ruu.dep1 && dep_ready e.Ruu.dep2 && dep_ready e.Ruu.dep3
-  in
-
-  (* Resolve a pending fetch redirect once the blocking branch has
-     produced its outcome. *)
-  let redirect_stage () =
-    match !blocking with
-    | `None | `In_ifq -> ()
-    | `In_flight seq ->
-        let resolved =
-          (not (Ruu.in_flight ruu seq))
-          ||
-          let e = Ruu.get ruu seq in
-          e.Ruu.issued && e.Ruu.complete_at <= !now
-        in
-        if resolved then blocking := `None
   in
 
   (* Watchdog state: cycle of the most recent commit (or of the most
@@ -341,16 +309,15 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     done
   in
 
-  (* Misprediction recovery for the speculative front end.  Runs
-     before [commit_stage] every cycle, so a resolving branch squashes
-     its wrong-path successors before any of them could reach the
-     window head — squashed instructions are never committed, keeping
-     the committed count equal to the architectural instruction count
-     under every predictor.  PFU busy stamps need no rollback: a stamp
-     only blocks issue during the cycle it was written, and issue runs
-     after this stage. *)
-  let spec_redirect_stage () =
-    match !spec_pending with
+  (* Misprediction recovery.  Runs before [commit_stage] every cycle,
+     so a resolving branch squashes its wrong-path successors before
+     any of them could reach the window head — squashed instructions
+     are never committed, keeping the committed count equal to the
+     architectural instruction count under every predictor.  PFU busy
+     stamps need no rollback: a stamp only blocks issue during the
+     cycle it was written, and issue runs after this stage. *)
+  let squash_stage () =
+    match !pending with
     | `None | `In_ifq -> ()
     | `In_flight seq ->
         let resolved =
@@ -385,7 +352,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
           incr squashes;
           squashed_instrs := !squashed_instrs + dropped;
           recovery_cycles := !recovery_cycles + (!now - !mispredict_at);
-          spec_pending := `None;
+          pending := `None;
           wp_active := false
         end
   in
@@ -422,8 +389,6 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
         | (Some (Pfu_file.Ready _) | None) as outcome ->
             ignore (Queue.pop ifq);
             let e = Ruu.push ruu in
-            if te_class = F_mispredict && not spec_enabled then
-              blocking := `In_flight e.Ruu.seq;
             e.Ruu.slot <- te.Trace.index;
             e.Ruu.instr <- te.Trace.instr;
             e.Ruu.mem_addr <- te.Trace.mem_addr;
@@ -472,8 +437,8 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
                later — and only that — is wrong-path, so restoring
                this snapshot at squash undoes exactly the wrong-path
                producer updates. *)
-            if spec_enabled && te_class = F_mispredict then begin
-              spec_pending := `In_flight e.Ruu.seq;
+            if te_class = F_mispredict then begin
+              pending := `In_flight e.Ruu.seq;
               Array.blit producer 0 ckpt_producer 0 (Array.length producer)
             end;
             incr n
@@ -481,53 +446,18 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     done
   in
 
-  (* Predict a control instruction's next fetch index; returns whether
-     the prediction matches the actual dynamic successor.  Perfect
-     prediction always matches. *)
-  let predict_control (te : Trace.entry) ~actual_next =
-    match mconfig.Mconfig.branch_pred with
-    | Mconfig.Perfect -> true
-    | Mconfig.Bimodal n -> (
-        let fall = te.Trace.index + 1 in
-        match te.Trace.instr with
-        | Instr.Branch (_, _, _, target) ->
-            let idx = te.Trace.index land (n - 1) in
-            let taken_pred = counters.(idx) >= 2 in
-            let taken = actual_next <> fall in
-            if taken && counters.(idx) < 3 then
-              counters.(idx) <- counters.(idx) + 1;
-            if (not taken) && counters.(idx) > 0 then
-              counters.(idx) <- counters.(idx) - 1;
-            let predicted = if taken_pred then target else fall in
-            predicted = actual_next
-        | Instr.Jump target | Instr.Jal target ->
-            (* direct targets are always predicted correctly *)
-            target = actual_next
-        | Instr.Jr _ | Instr.Jalr _ ->
-            (* last-target buffer *)
-            let hit =
-              match Hashtbl.find_opt btb te.Trace.index with
-              | Some t -> t = actual_next
-              | None -> false
-            in
-            Hashtbl.replace btb te.Trace.index actual_next;
-            hit
-        | Instr.Alu_rrr _ | Instr.Alu_rri _ | Instr.Shift_imm _
-        | Instr.Shift_reg _ | Instr.Lui _ | Instr.Muldiv _ | Instr.Mfhi _
-        | Instr.Mflo _ | Instr.Load _ | Instr.Store _ | Instr.Ext _
-        | Instr.Cfgld _ | Instr.Nop | Instr.Halt ->
-            true)
-  in
-
-  (* Correct-path fetch under a real predictor: identical to the
-     perfect-mode fetch stage except that each control instruction is
-     checked against the predictor (and trains it with the actual
-     outcome, known at fetch time from the trace lookahead).  On a
-     misprediction, fetch switches to the wrong path: the branch is
-     tagged [F_mispredict] and the predicted-path start recorded — or
-     no wrong path at all when the target is unknown (BTB miss) or
-     outside the program image. *)
-  let spec_fetch_correct () =
+  (* Correct-path fetch: up to [fetch_width] trace entries, stopping at
+     a taken control transfer and on an instruction-cache miss (the
+     entry is then not consumed; fetch resumes once the line arrives).
+     Each control instruction is checked against the predictor, which
+     trains on the actual outcome, known at fetch time from the trace
+     lookahead; under [Perfect] every control instruction is correct
+     and the predictor is never consulted.  On a misprediction, fetch
+     switches to the wrong path: the branch is tagged [F_mispredict]
+     and the predicted-path start recorded — or no wrong path at all
+     when the target is unknown (BTB miss) or outside the program
+     image. *)
+  let fetch_correct () =
     let n = ref 0 in
     let continue = ref true in
     while
@@ -557,6 +487,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
               in
               let fall = te.Trace.index + 1 in
               let correct, wp_start =
+                (* Perfect must not reach [Bp.predict_dir], which
+                   answers "taken" for it *)
+                if perfect then (true, None)
+                else
                 match te.Trace.instr with
                 | Instr.Branch (_, _, _, target) ->
                     let taken = actual_next <> fall in
@@ -588,7 +522,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
                 incr mispredicts;
                 mispredict_at := !now;
                 ckpt_hist := Bp.history pred;
-                spec_pending := `In_ifq;
+                pending := `In_ifq;
                 (match wp_start with
                 | Some t when t >= 0 && t < Array.length static_code ->
                     wp_active := true;
@@ -615,7 +549,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
      squash restores — and an unknown indirect target or a walk off
      the program ends the wrong path (fetch then idles until the
      squash). *)
-  let spec_fetch_wrong () =
+  let fetch_wrong () =
     let n = ref 0 in
     let continue = ref true in
     while
@@ -665,75 +599,15 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     done
   in
 
-  let spec_fetch_stage () =
+  let fetch_stage () =
     if !now < !fetch_resume then begin
       if not !trace_done then incr fetch_stall_cycles
     end
     else
-      match !spec_pending with
-      | `None -> spec_fetch_correct ()
+      match !pending with
+      | `None -> fetch_correct ()
       | `In_ifq | `In_flight _ ->
-          if !wp_active then spec_fetch_wrong ()
-          else incr fetch_stall_cycles
-  in
-
-  let fetch_stage () =
-    if spec_enabled then spec_fetch_stage ()
-    else begin
-    if (!now < !fetch_resume || !blocking <> `None) && not !trace_done then
-      incr fetch_stall_cycles;
-    if !now >= !fetch_resume && !blocking = `None then begin
-      let n = ref 0 in
-      let continue = ref true in
-      while
-        !continue && !n < mconfig.Mconfig.fetch_width
-        && Queue.length ifq < mconfig.Mconfig.ifq_size
-      do
-        match peek () with
-        | None -> continue := false
-        | Some te ->
-            let addr = Encoding.address_of_index te.Trace.index in
-            let line = addr lsr line_shift in
-            if line <> !last_fetch_line then begin
-              let lat = Hierarchy.fetch_latency hier ~addr in
-              last_fetch_line := line;
-              if lat > l1_hit then begin
-                (* Instruction-cache miss: resume once the line arrives;
-                   the entry is not consumed this cycle. *)
-                fetch_resume := !now + (lat - l1_hit);
-                continue := false
-              end
-            end;
-            if !continue then begin
-              consume ();
-              if Instr.is_control te.Trace.instr then begin
-                let actual_next =
-                  match peek () with
-                  | Some nxt -> nxt.Trace.index
-                  | None -> te.Trace.index + 1
-                in
-                let correct = predict_control te ~actual_next in
-                if not correct then begin
-                  incr mispredicts;
-                  blocking := `In_ifq;
-                  Queue.push (te, F_mispredict) ifq;
-                  continue := false
-                end
-                else begin
-                  Queue.push (te, F_ok) ifq;
-                  incr n;
-                  (* fetch stops at a taken control transfer *)
-                  if actual_next <> te.Trace.index + 1 then continue := false
-                end
-              end
-              else begin
-                Queue.push (te, F_ok) ifq;
-                incr n
-              end
-            end
-      done
-    end
-    end
+          if !wp_active then fetch_wrong () else incr fetch_stall_cycles
   in
 
   let finished () =
@@ -752,8 +626,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     else if !now - !last_commit > mconfig.Mconfig.progress_window then
       stuck `No_commit mconfig.Mconfig.progress_window;
     occupancy_sum := !occupancy_sum + Ruu.occupancy ruu;
-    redirect_stage ();
-    if spec_enabled then spec_redirect_stage ();
+    squash_stage ();
     commit_stage ();
     issue_stage ();
     dispatch_stage ();
@@ -804,9 +677,9 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   m ~by:stats.Stats.ruu_full_stalls "sim.stall.ruu_full";
   m ~by:stats.Stats.fetch_stall_cycles "sim.stall.fetch_cycles";
   m ~by:stats.Stats.branch_mispredicts "sim.branch_mispredicts";
-  (* speculation counters only exist when the speculative front end
-     ran, keeping perfect-mode telemetry unchanged *)
-  if spec_enabled then begin
+  (* speculation counters only exist under a real predictor, keeping
+     perfect-mode telemetry unchanged *)
+  if not perfect then begin
     m ~by:stats.Stats.branch_mispredicts "sim.bpred.mispredicts";
     m ~by:stats.Stats.squashes "sim.bpred.squashes";
     m ~by:stats.Stats.squashed_instrs "sim.bpred.squashed_instrs";

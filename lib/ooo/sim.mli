@@ -19,10 +19,12 @@
       register and store-to-load dependences are recorded;
     + {b fetch} — up to [fetch_width] instructions enter the fetch
       queue, stopping at taken branches and stalling on instruction-
-      cache misses.  Under the default [Mconfig.bpred = Perfect]
-      (paper Section 3.1) fetch follows the committed path exactly;
-      under a real predictor ({!T1000_bpred.Predictor}) fetch follows
-      the {e predicted} path — wrong-path instructions are synthesized
+      cache misses.  There is one fetch stage and one predictor,
+      [Mconfig.bpred] ({!T1000_bpred.Predictor}).  Fetch follows the
+      {e predicted} path.  The default, [Perfect] (paper Section 3.1),
+      is the predictor that is always right, so fetch follows the
+      committed path exactly.  Under a real predictor, wrong-path
+      instructions are synthesized
       from the static program image, dispatched into the RUU and PFU
       file, and squashed (window truncation, rename-map restore,
       configuration-pin release, history rollback) when the

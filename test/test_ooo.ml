@@ -364,25 +364,30 @@ let test_sim_branch_prediction () =
         Builder.halt b)
   in
   let bimodal =
-    { Mconfig.default with Mconfig.branch_pred = Mconfig.Bimodal 256 }
+    (* 2^8 = 256 counters *)
+    { Mconfig.default with Mconfig.bpred = T1000_bpred.Predictor.Bimodal 8 }
   in
   let perf_loop = run loop_p in
   let bi_loop = run ~mconfig:bimodal loop_p in
   check_int "perfect never mispredicts" 0 perf_loop.Stats.branch_mispredicts;
   check_bool "loop branch predicts well" true
     (bi_loop.Stats.branch_mispredicts <= 4);
+  check_int "one squash per loop mispredict" bi_loop.Stats.branch_mispredicts
+    bi_loop.Stats.squashes;
   let perf_alt = run alt_p in
   let bi_alt = run ~mconfig:bimodal alt_p in
   check_bool "alternating branch mispredicts a lot" true
     (bi_alt.Stats.branch_mispredicts >= 40);
+  check_int "one squash per alternating mispredict"
+    bi_alt.Stats.branch_mispredicts bi_alt.Stats.squashes;
   check_bool "mispredictions cost cycles" true
     (bi_alt.Stats.cycles > perf_alt.Stats.cycles);
   check_int "same committed count" perf_alt.Stats.committed
     bi_alt.Stats.committed
 
 let test_sim_btb_indirect () =
-  (* a jr returning to the same site is learned by the last-target
-     buffer: the second call predicts correctly *)
+  (* a jr returning to the same site is learned by the BTB: the second
+     call predicts correctly *)
   let p =
     build (fun b ->
         Builder.li b R.t0 3;
@@ -395,13 +400,15 @@ let test_sim_btb_indirect () =
         Builder.jr b R.ra)
   in
   let bimodal =
-    { Mconfig.default with Mconfig.branch_pred = Mconfig.Bimodal 256 }
+    { Mconfig.default with Mconfig.bpred = T1000_bpred.Predictor.Bimodal 8 }
   in
   let s = run ~mconfig:bimodal p in
   (* the jr always returns to the same slot: only the first (cold)
      prediction can miss, plus at most a couple of loop-branch misses *)
   check_bool "btb learns the return target" true
     (s.Stats.branch_mispredicts <= 4);
+  check_int "one squash per mispredict" s.Stats.branch_mispredicts
+    s.Stats.squashes;
   check_int "everything commits" 14 s.Stats.committed
 
 let test_sim_cfgld_prefetch () =
