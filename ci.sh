@@ -156,6 +156,16 @@ grep -q "gsh2k/sel" "$CKPT_DIR/bpred_a9.out" || {
   echo "ablation a9 did not print its predictor columns" >&2
   exit 1
 }
+# The same sweep under self-check audits the event-driven issue
+# scheduler against the window-scan readiness predicate every cycle,
+# on squash-heavy runs; the audit must pass and must not change a byte.
+T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 T1000_SELFCHECK=1 \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment a9 \
+  > "$CKPT_DIR/bpred_a9_audited.out"
+diff "$CKPT_DIR/bpred_a9.out" "$CKPT_DIR/bpred_a9_audited.out" || {
+  echo "self-checked a9 differs from the unaudited run" >&2
+  exit 1
+}
 
 echo "== bpred: pinned front-end statistics on every kernel =="
 # One pass of the benchmark's kernels matrix (8 kernels x 3 setups x

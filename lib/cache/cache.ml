@@ -48,31 +48,42 @@ let create ~name ~sets ~ways ~line_bytes =
 
 let find_way t set line =
   let base = set * t.ways in
-  let rec go w =
-    if w >= t.ways then -1
-    else if t.tags.(base + w) = line then w
-    else go (w + 1)
-  in
-  go 0
+  let w = ref 0 in
+  while !w < t.ways && t.tags.(base + !w) <> line do
+    incr w
+  done;
+  if !w < t.ways then !w else -1
 
 let touch t set way =
-  (* Make [way] most-recently-used: increment ages below its current age. *)
+  (* Make [way] most-recently-used: increment ages below its current
+     age (nothing to do when it already is). *)
   let base = set * t.ways in
   let age = t.lru.(base + way) in
-  for w = 0 to t.ways - 1 do
-    if t.lru.(base + w) < age then t.lru.(base + w) <- t.lru.(base + w) + 1
-  done;
-  t.lru.(base + way) <- 0
+  if age <> 0 then begin
+    for w = 0 to t.ways - 1 do
+      if t.lru.(base + w) < age then t.lru.(base + w) <- t.lru.(base + w) + 1
+    done;
+    t.lru.(base + way) <- 0
+  end
 
 let victim_way t set =
+  (* prefer the first empty way, else the oldest *)
   let base = set * t.ways in
-  let rec go w best best_age =
-    if w >= t.ways then best
-    else if t.tags.(base + w) = -1 then w (* prefer an empty way *)
-    else if t.lru.(base + w) > best_age then go (w + 1) w t.lru.(base + w)
-    else go (w + 1) best best_age
-  in
-  go 0 0 (-1)
+  let best = ref 0 and best_age = ref (-1) and w = ref 0 in
+  while !w < t.ways do
+    if t.tags.(base + !w) = -1 then begin
+      best := !w;
+      w := t.ways
+    end
+    else begin
+      if t.lru.(base + !w) > !best_age then begin
+        best := !w;
+        best_age := t.lru.(base + !w)
+      end;
+      incr w
+    end
+  done;
+  !best
 
 let access t ~addr ~write =
   t.accesses <- t.accesses + 1;

@@ -2,7 +2,13 @@ type t = {
   name : string;
   page_shift : int;
   pages : int array;  (* -1 = empty *)
-  lru : int array;
+  (* Recency as a last-use stamp per entry: the larger, the more
+     recent.  Stamps are distinct, so they order the entries exactly
+     as LRU ages would, and a touch is one store instead of an age
+     update across the whole TLB. *)
+  last_use : int array;
+  mutable clock : int;
+  mutable mru : int;  (* the most recently used entry *)
   mutable accesses : int;
   mutable misses : int;
 }
@@ -21,41 +27,67 @@ let create ~name ~entries ~page_bytes =
     name;
     page_shift = log2 page_bytes;
     pages = Array.make entries (-1);
-    lru = Array.init entries (fun i -> i);
+    (* entry 0 most recent, entry [entries - 1] least *)
+    last_use = Array.init entries (fun i -> -i);
+    clock = 1;
+    mru = 0;
     accesses = 0;
     misses = 0;
   }
 
 let touch t i =
-  let age = t.lru.(i) in
-  for j = 0 to Array.length t.lru - 1 do
-    if t.lru.(j) < age then t.lru.(j) <- t.lru.(j) + 1
+  t.last_use.(i) <- t.clock;
+  t.clock <- t.clock + 1;
+  t.mru <- i
+
+let find t page =
+  let n = Array.length t.pages in
+  let i = ref 0 in
+  while !i < n && t.pages.(!i) <> page do
+    incr i
   done;
-  t.lru.(i) <- 0
+  if !i < n then !i else -1
+
+(* Victim: the first empty entry if any, else the least recently
+   used. *)
+let victim t =
+  let n = Array.length t.pages in
+  let best = ref 0 and best_use = ref max_int and i = ref 0 in
+  while !i < n do
+    if t.pages.(!i) = -1 then begin
+      best := !i;
+      i := n
+    end
+    else begin
+      if t.last_use.(!i) < !best_use then begin
+        best := !i;
+        best_use := t.last_use.(!i)
+      end;
+      incr i
+    end
+  done;
+  !best
 
 let access t ~addr =
   t.accesses <- t.accesses + 1;
   let page = addr lsr t.page_shift in
-  let n = Array.length t.pages in
-  let rec find i = if i >= n then -1 else if t.pages.(i) = page then i else find (i + 1) in
-  let i = find 0 in
-  if i >= 0 then begin
-    touch t i;
-    true
-  end
+  (* Repeat hit on the most recent page: touching the most recent
+     entry leaves the recency order as it is, so skipping the touch is
+     exact, not a shortcut. *)
+  if t.pages.(t.mru) = page then true
   else begin
-    t.misses <- t.misses + 1;
-    (* victim: empty entry if any, else oldest *)
-    let rec victim i best best_age =
-      if i >= n then best
-      else if t.pages.(i) = -1 then i
-      else if t.lru.(i) > best_age then victim (i + 1) i t.lru.(i)
-      else victim (i + 1) best best_age
-    in
-    let v = victim 0 0 (-1) in
-    t.pages.(v) <- page;
-    touch t v;
-    false
+    let i = find t page in
+    if i >= 0 then begin
+      touch t i;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let v = victim t in
+      t.pages.(v) <- page;
+      touch t v;
+      false
+    end
   end
 
 let name t = t.name

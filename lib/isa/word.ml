@@ -60,9 +60,17 @@ let zext8 v = v land 0xFF
 let zext16 v = v land 0xFFFF
 
 let bits_for_nonneg v =
-  (* Minimum bits to hold a non-negative value (ignoring sign bit). *)
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
-  if v = 0 then 0 else go v 0
+  (* Minimum bits to hold a non-negative value (ignoring sign bit): a
+     fixed binary-search cascade over the position of the leading one,
+     six steps for any native int instead of one step per bit. *)
+  let v = ref v and n = ref 0 in
+  if !v lsr 32 <> 0 then begin n := 32; v := !v lsr 32 end;
+  if !v lsr 16 <> 0 then begin n := !n + 16; v := !v lsr 16 end;
+  if !v lsr 8 <> 0 then begin n := !n + 8; v := !v lsr 8 end;
+  if !v lsr 4 <> 0 then begin n := !n + 4; v := !v lsr 4 end;
+  if !v lsr 2 <> 0 then begin n := !n + 2; v := !v lsr 2 end;
+  if !v lsr 1 <> 0 then begin n := !n + 1; v := !v lsr 1 end;
+  !n + !v
 
 let width_signed v =
   if v >= 0 then 1 + bits_for_nonneg v

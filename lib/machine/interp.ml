@@ -14,6 +14,7 @@ type t = {
   mutable pc : int;
   mutable halted : bool;
   mutable steps : int;
+  mutable mem_addr : int;  (* effective address of the last [exec] *)
   mutable observer : (Trace.obs -> unit) option;
 }
 
@@ -31,6 +32,7 @@ let create ?regs ?mem ?(ext_eval = no_ext) program =
     pc = 0;
     halted = false;
     steps = 0;
+    mem_addr = -1;
     observer = None;
   }
 
@@ -42,6 +44,8 @@ let steps t = t.steps
 let mem t = t.mem
 let regs t = t.regs
 let program t = t.program
+let code t = t.code
+let mem_addr t = t.mem_addr
 
 let check_align addr n =
   if addr land (n - 1) <> 0 then
@@ -64,8 +68,8 @@ let shift_eval (op : Op.shift) v sh =
   | Op.Srl -> Word.srl v sh
   | Op.Sra -> Word.sra v sh
 
-let step t =
-  if t.halted then None
+let exec t =
+  if t.halted then -1
   else begin
     let n = Array.length t.code in
     if t.pc < 0 || t.pc >= n then
@@ -73,7 +77,6 @@ let step t =
     let index = t.pc in
     let instr = Array.unsafe_get t.code index in
     let regs = t.regs in
-    let g r = Regfile.get regs r in
     (* Observation bookkeeping (cheap; only consulted when an observer is
        installed). *)
     let o_src1 = ref 0 and o_src2 = ref 0 and o_result = ref 0 in
@@ -81,28 +84,28 @@ let step t =
     let next = ref (index + 1) in
     (match instr with
     | Instr.Alu_rrr (op, rd, rs, rt) ->
-        let a = g rs and b = g rt in
+        let a = Regfile.get regs rs and b = Regfile.get regs rt in
         let v = alu_eval op a b in
         o_src1 := a;
         o_src2 := b;
         o_result := v;
         Regfile.set regs rd v
     | Instr.Alu_rri (op, rt, rs, imm) ->
-        let a = g rs in
+        let a = Regfile.get regs rs in
         let v = alu_eval op a (Word.sext32 imm) in
         o_src1 := a;
         o_src2 := imm;
         o_result := v;
         Regfile.set regs rt v
     | Instr.Shift_imm (op, rd, rt, sh) ->
-        let a = g rt in
+        let a = Regfile.get regs rt in
         let v = shift_eval op a sh in
         o_src1 := a;
         o_src2 := sh;
         o_result := v;
         Regfile.set regs rd v
     | Instr.Shift_reg (op, rd, rt, rs) ->
-        let a = g rt and sh = g rs in
+        let a = Regfile.get regs rt and sh = Regfile.get regs rs in
         let v = shift_eval op a (sh land 31) in
         o_src1 := a;
         o_src2 := sh;
@@ -113,7 +116,7 @@ let step t =
         o_result := v;
         Regfile.set regs rt v
     | Instr.Muldiv (op, rs, rt) ->
-        let a = g rs and b = g rt in
+        let a = Regfile.get regs rs and b = Regfile.get regs rt in
         o_src1 := a;
         o_src2 := b;
         (match op with
@@ -141,7 +144,7 @@ let step t =
         o_result := v;
         Regfile.set regs rd v
     | Instr.Load (w, rt, rs, off) ->
-        let base = g rs in
+        let base = Regfile.get regs rs in
         let addr = Word.to_u32 (Word.add base (Word.sext32 off)) in
         mem_addr := addr;
         o_src1 := base;
@@ -162,9 +165,9 @@ let step t =
         o_result := v;
         Regfile.set regs rt v
     | Instr.Store (w, rt, rs, off) ->
-        let base = g rs in
+        let base = Regfile.get regs rs in
         let addr = Word.to_u32 (Word.add base (Word.sext32 off)) in
-        let v = g rt in
+        let v = Regfile.get regs rt in
         mem_addr := addr;
         o_src1 := base;
         o_src2 := v;
@@ -177,7 +180,7 @@ let step t =
             check_align addr 4;
             Memory.store_word t.mem addr v)
     | Instr.Branch (c, rs, rt, tgt) ->
-        let a = g rs and b = g rt in
+        let a = Regfile.get regs rs and b = Regfile.get regs rt in
         o_src1 := a;
         o_src2 := b;
         let taken =
@@ -197,18 +200,18 @@ let step t =
         Regfile.set regs Reg.ra (Word.sext32 ret);
         next := tgt
     | Instr.Jr rs ->
-        let a = g rs in
+        let a = Regfile.get regs rs in
         o_src1 := a;
         next := Encoding.index_of_address (Word.to_u32 a)
     | Instr.Jalr (rd, rs) ->
-        let a = g rs in
+        let a = Regfile.get regs rs in
         let ret = Encoding.address_of_index (index + 1) in
         o_src1 := a;
         o_result := ret;
         Regfile.set regs rd (Word.sext32 ret);
         next := Encoding.index_of_address (Word.to_u32 a)
     | Instr.Ext { eid; dst; src1; src2 } ->
-        let a = g src1 and b = g src2 in
+        let a = Regfile.get regs src1 and b = Regfile.get regs src2 in
         let v = t.ext_eval eid a b in
         o_src1 := a;
         o_src2 := b;
@@ -218,13 +221,25 @@ let step t =
     | Instr.Halt -> t.halted <- true);
     t.pc <- !next;
     t.steps <- t.steps + 1;
-    let entry = { Trace.index; instr; mem_addr = !mem_addr } in
+    t.mem_addr <- !mem_addr;
     (match t.observer with
     | None -> ()
     | Some f ->
+        let entry = { Trace.index; instr; mem_addr = !mem_addr } in
         f { Trace.entry; src1 = !o_src1; src2 = !o_src2; result = !o_result });
-    Some entry
+    index
   end
+
+let step t =
+  let index = exec t in
+  if index < 0 then None
+  else
+    Some
+      {
+        Trace.index;
+        instr = Array.unsafe_get t.code index;
+        mem_addr = t.mem_addr;
+      }
 
 let run ?(max_steps = 1_000_000_000) t =
   let start = t.steps in
@@ -233,7 +248,7 @@ let run ?(max_steps = 1_000_000_000) t =
     else if t.steps - start >= max_steps then
       fault "program did not halt within %d steps" max_steps
     else begin
-      ignore (step t);
+      ignore (exec t);
       go ()
     end
   in

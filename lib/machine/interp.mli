@@ -3,7 +3,8 @@
     Executes a {!T1000_asm.Program} over a {!Memory} and {!Regfile},
     producing a pull-based dynamic trace.  The timing simulator and the
     profiler both consume this stream; memory usage is O(1) in trace
-    length.
+    length.  {!exec} is the one interpreter loop body: {!step} and
+    {!run} are built on it.
 
     Extended instructions are evaluated through the [ext_eval] callback
     (the dataflow-graph evaluators built by {!T1000_select.Extinstr});
@@ -27,13 +28,25 @@ val create :
 (** [ext_eval eid v1 v2] must return the result of extended instruction
     [eid] on operand values [v1], [v2]. *)
 
+val exec : t -> int
+(** Execute one instruction and return its static slot, or [-1] once
+    halted (idempotent after halt).  The allocation-free primitive of
+    the interpreter: the effective address is left in {!mem_addr} and
+    the instruction itself is [(code t).(slot)], so a caller that
+    walks the dynamic trace builds no record per instruction.  An
+    installed observer is still called with a full {!Trace.obs}. *)
+
+val mem_addr : t -> int
+(** Effective byte address of the load or store executed by the last
+    {!exec}, [-1] if it accessed no memory. *)
+
 val step : t -> Trace.entry option
-(** Execute one instruction; [None] once halted.  Idempotent after
-    halt. *)
+(** {!exec} packaged as a trace entry; [None] once halted.  Idempotent
+    after halt. *)
 
 val run : ?max_steps:int -> t -> int
-(** Run to [Halt]; returns the number of instructions executed
-    (default [max_steps] = 1 billion).
+(** Run to [Halt] through {!exec}; returns the number of instructions
+    executed (default [max_steps] = 1 billion).
     @raise Fault if the program does not halt within [max_steps]. *)
 
 val set_observer : t -> (Trace.obs -> unit) -> unit
@@ -51,3 +64,9 @@ val steps : t -> int
 val mem : t -> Memory.t
 val regs : t -> Regfile.t
 val program : t -> T1000_asm.Program.t
+
+val code : t -> Instr.t array
+(** The program's instruction array as the interpreter executes it,
+    one element per static slot.  Shared, not copied: callers that
+    pre-decode the program (the timing simulator's image) read it and
+    must never write it. *)

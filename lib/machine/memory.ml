@@ -4,26 +4,45 @@ let page_bits = 12
 let page_bytes = 1 lsl page_bits
 let page_mask = page_bytes - 1
 
-type t = { pages : (int, Bytes.t) Hashtbl.t }
+type t = {
+  pages : (int, Bytes.t) Hashtbl.t;
+  (* The page of the last lookup that found one: accesses cluster, so
+     most of them skip the hash table.  [last_key] is -1 when empty. *)
+  mutable last_key : int;
+  mutable last_page : Bytes.t;
+}
 
-let create () = { pages = Hashtbl.create 64 }
+let create () =
+  { pages = Hashtbl.create 64; last_key = -1; last_page = Bytes.empty }
+
+(* The allocated page holding key, or [Bytes.empty] if there is none. *)
+let find_page t key =
+  if key = t.last_key then t.last_page
+  else
+    match Hashtbl.find t.pages key with
+    | p ->
+        t.last_key <- key;
+        t.last_page <- p;
+        p
+    | exception Not_found -> Bytes.empty
 
 let page_of t addr =
   let key = addr lsr page_bits in
-  match Hashtbl.find_opt t.pages key with
-  | Some p -> p
-  | None ->
-      let p = Bytes.make page_bytes '\000' in
-      Hashtbl.add t.pages key p;
-      p
+  let p = find_page t key in
+  if p != Bytes.empty then p
+  else begin
+    let p = Bytes.make page_bytes '\000' in
+    Hashtbl.add t.pages key p;
+    p
+  end
 
 let normalize addr = addr land 0xFFFF_FFFF
 
 let load_byte t addr =
   let addr = normalize addr in
-  match Hashtbl.find_opt t.pages (addr lsr page_bits) with
-  | None -> 0
-  | Some p -> Char.code (Bytes.unsafe_get p (addr land page_mask))
+  let p = find_page t (addr lsr page_bits) in
+  if p == Bytes.empty then 0
+  else Char.code (Bytes.unsafe_get p (addr land page_mask))
 
 let store_byte t addr v =
   let addr = normalize addr in
@@ -40,15 +59,16 @@ let load_word t addr =
   let addr = normalize addr in
   (* Fast path: word within one page. *)
   if addr land page_mask <= page_bytes - 4 then
-    match Hashtbl.find_opt t.pages (addr lsr page_bits) with
-    | None -> 0
-    | Some p ->
-        let off = addr land page_mask in
-        let b0 = Char.code (Bytes.unsafe_get p off)
-        and b1 = Char.code (Bytes.unsafe_get p (off + 1))
-        and b2 = Char.code (Bytes.unsafe_get p (off + 2))
-        and b3 = Char.code (Bytes.unsafe_get p (off + 3)) in
-        Word.sext32 (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))
+    let p = find_page t (addr lsr page_bits) in
+    if p == Bytes.empty then 0
+    else begin
+      let off = addr land page_mask in
+      let b0 = Char.code (Bytes.unsafe_get p off)
+      and b1 = Char.code (Bytes.unsafe_get p (off + 1))
+      and b2 = Char.code (Bytes.unsafe_get p (off + 2))
+      and b3 = Char.code (Bytes.unsafe_get p (off + 3)) in
+      Word.sext32 (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))
+    end
   else
     Word.sext32
       (load_byte t addr
@@ -74,7 +94,10 @@ let store_word t addr v =
     store_byte t (addr + 3) (v lsr 24)
   end
 
-let clear t = Hashtbl.reset t.pages
+let clear t =
+  Hashtbl.reset t.pages;
+  t.last_key <- -1;
+  t.last_page <- Bytes.empty
 let touched_pages t = Hashtbl.length t.pages
 
 let blit_words t addr ws =

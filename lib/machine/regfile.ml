@@ -4,10 +4,10 @@ open T1000_isa
 type t = { regs : int array }
 
 let create () = { regs = Array.make Instr.dep_reg_count 0 }
-let get t r = Array.unsafe_get t.regs (Reg.to_int r)
+let get t r = Array.unsafe_get t.regs (r : Reg.t :> int)
 
 let set t r v =
-  let i = Reg.to_int r in
+  let i = (r : Reg.t :> int) in
   if i <> 0 then Array.unsafe_set t.regs i v
 
 let hi t = t.regs.(Instr.hi_reg)

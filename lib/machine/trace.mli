@@ -1,10 +1,12 @@
 (** Dynamic instruction trace entries.
 
-    The functional interpreter ({!Interp}) produces one entry per
-    executed instruction; the timing simulator ({!T1000_ooo.Sim})
-    consumes them in order.  Because the paper simulates with perfect
-    branch prediction, this committed-order stream is exactly the fetch
-    stream, making trace-driven timing exact (DESIGN.md Section 5). *)
+    The functional interpreter ({!Interp.step}) produces one entry per
+    executed instruction.  The timing simulator ({!T1000_ooo.Sim})
+    walks the same committed-order stream through {!Interp.exec}, as
+    slots and addresses, without building entries.  Because the paper
+    simulates with perfect branch prediction, this committed-order
+    stream is exactly the fetch stream, making trace-driven timing
+    exact (DESIGN.md Section 5). *)
 
 open T1000_isa
 

@@ -68,49 +68,56 @@ let request_unlimited t ~now ~conf =
 
 let find_conf t conf =
   let n = Array.length t.units in
-  let rec go i =
-    if i >= n then -1 else if t.units.(i).conf = conf then i else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && t.units.(!i).conf <> conf do
+    incr i
+  done;
+  if !i < n then !i else -1
 
-let pick_victim t ~now =
+(* The unit a load may overwrite, -1 when every unit is pinned: the
+   first empty unpinned unit; else, among the unpinned units in index
+   order, the first with the strictly smallest last use (LRU) or load
+   time (FIFO), or the [next_rng mod count]-th (Random_det). *)
+let pick_victim t =
   let n = Array.length t.units in
-  (* Empty unpinned unit first. *)
-  let rec find_empty i =
-    if i >= n then -1
-    else if t.units.(i).conf = -1 && t.units.(i).pins = 0 then i
-    else find_empty (i + 1)
-  in
-  let empty = find_empty 0 in
-  if empty >= 0 then empty
-  else begin
-    let unpinned =
-      Array.to_list (Array.mapi (fun i u -> (i, u)) t.units)
-      |> List.filter (fun (_, u) -> u.pins = 0)
-    in
-    match unpinned with
-    | [] -> -1
-    | l -> (
-        match t.replacement with
-        | Mconfig.Lru ->
-            fst
-              (List.fold_left
-                 (fun (bi, bu) (i, u) ->
-                   if u.last_use < bu.last_use then (i, u) else (bi, bu))
-                 (List.hd l) (List.tl l))
-        | Mconfig.Fifo ->
-            fst
-              (List.fold_left
-                 (fun (bi, bu) (i, u) ->
-                   if u.loaded_at < bu.loaded_at then (i, u) else (bi, bu))
-                 (List.hd l) (List.tl l))
-        | Mconfig.Random_det ->
-            let k = next_rng t mod List.length l in
-            fst (List.nth l k))
-    |> fun i ->
-    ignore now;
-    i
-  end
+  let empty = ref (-1) and i = ref 0 in
+  while !empty < 0 && !i < n do
+    let u = t.units.(!i) in
+    if u.conf = -1 && u.pins = 0 then empty := !i;
+    incr i
+  done;
+  if !empty >= 0 then !empty
+  else
+    match t.replacement with
+    | Mconfig.Lru | Mconfig.Fifo ->
+        let lru = t.replacement = Mconfig.Lru in
+        let best = ref (-1) and best_stamp = ref 0 in
+        for i = 0 to n - 1 do
+          let u = t.units.(i) in
+          if u.pins = 0 then begin
+            let stamp = if lru then u.last_use else u.loaded_at in
+            if !best < 0 || stamp < !best_stamp then begin
+              best := i;
+              best_stamp := stamp
+            end
+          end
+        done;
+        !best
+    | Mconfig.Random_det ->
+        let count = ref 0 in
+        for i = 0 to n - 1 do
+          if t.units.(i).pins = 0 then incr count
+        done;
+        if !count = 0 then -1
+        else begin
+          let k = ref (next_rng t mod !count) and v = ref (-1) and i = ref 0 in
+          while !v < 0 do
+            if t.units.(!i).pins = 0 then
+              if !k = 0 then v := !i else decr k;
+            incr i
+          done;
+          !v
+        end
 
 let request t ~now ~conf =
   if t.is_unlimited then request_unlimited t ~now ~conf
@@ -125,7 +132,7 @@ let request t ~now ~conf =
       Ready { unit_id = i; at = max now u.ready_at; hit = true }
     end
     else begin
-      match pick_victim t ~now with
+      match pick_victim t with
       | -1 ->
           t.stalls <- t.stalls + 1;
           Stall
@@ -150,7 +157,7 @@ let prefetch t ~now ~conf =
   end
   else if Array.length t.units > 0 && find_conf t conf < 0 then begin
     (* best-effort: load into an unpinned victim, or silently give up *)
-    match pick_victim t ~now with
+    match pick_victim t with
     | -1 -> ()
     | v ->
         let u = t.units.(v) in

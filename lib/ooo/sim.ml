@@ -56,6 +56,17 @@ let env_max_cycles () =
                              got %S"
                s))
 
+(* Memory disambiguation table, keyed by word index. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* State of the single unresolved misprediction. *)
+type pending = No_pending | In_ifq | In_flight
+
 let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     ?(selfcheck = false) ~init program =
   T1000_obs.Tracer.with_span ~cat:"sim" "sim.run" @@ fun () ->
@@ -63,6 +74,12 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let regs = Regfile.create () in
   init mem regs;
   let interp = Interp.create ~regs ~mem ?ext_eval program in
+  (* Pre-decoded image of the interpreter's own instruction array:
+     every stage below reads slot fields instead of matching on
+     [Instr.t]. *)
+  let image = Image.of_code (Interp.code interp) in
+  let slots = image.Image.slots in
+  let n_slots = Array.length slots in
   let hier = Hierarchy.create mconfig.Mconfig.cache in
   let pfus =
     Pfu_file.create ~n:mconfig.Mconfig.n_pfus
@@ -70,26 +87,42 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       ~replacement:mconfig.Mconfig.pfu_replacement
   in
   let ruu = Ruu.create ~size:mconfig.Mconfig.ruu_size in
-  let ifq : (Trace.entry * fetch_class) Queue.t = Queue.create () in
-  (* One-entry lookahead over the dynamic trace. *)
-  let peeked = ref None in
+  (* Fetch queue: a fixed ring of (slot, effective address, class). *)
+  let ifq_size = mconfig.Mconfig.ifq_size in
+  let q_cap = max 1 ifq_size in
+  let q_slot = Array.make q_cap 0 in
+  let q_addr = Array.make q_cap (-1) in
+  let q_class = Array.make q_cap F_ok in
+  let q_head = ref 0 in
+  let q_len = ref 0 in
+  let q_push slot addr cls =
+    let i = !q_head + !q_len in
+    let i = if i >= q_cap then i - q_cap else i in
+    q_slot.(i) <- slot;
+    q_addr.(i) <- addr;
+    q_class.(i) <- cls;
+    incr q_len
+  in
+  (* One-entry lookahead over the dynamic trace: the slot [Interp.exec]
+     returned and its effective address. *)
+  let la_full = ref false in
+  let la_slot = ref (-1) in
+  let la_addr = ref (-1) in
   let trace_done = ref false in
   let peek () =
-    match !peeked with
-    | Some _ as e -> e
-    | None ->
-        if !trace_done then None
-        else begin
-          match Interp.step interp with
-          | Some e ->
-              peeked := Some e;
-              Some e
-          | None ->
-              trace_done := true;
-              None
-        end
+    if !la_full then !la_slot
+    else if !trace_done then -1
+    else begin
+      let s = Interp.exec interp in
+      if s < 0 then trace_done := true
+      else begin
+        la_full := true;
+        la_slot := s;
+        la_addr := Interp.mem_addr interp
+      end;
+      s
+    end
   in
-  let consume () = peeked := None in
   (* Register rename: dependence register -> seq of latest producer. *)
   let producer = Array.make Instr.dep_reg_count (-1) in
   (* Memory disambiguation: word index -> seq of the youngest store to
@@ -98,7 +131,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
      youngest-per-word binding replaces scanning all in-flight stores
      on every load dispatch.  Stale bindings (committed seqs) are
      filtered by [Ruu.in_flight] at lookup. *)
-  let store_by_word : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let store_by_word = Int_tbl.create 64 in
   let now = ref 0 in
   let committed = ref 0 in
   let ext_committed = ref 0 in
@@ -127,12 +160,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
      fetch. *)
   let perfect = Bp.is_perfect mconfig.Mconfig.bpred in
   let pred = Bp.create mconfig.Mconfig.bpred in
-  let static_code =
-    if perfect then [||] else T1000_asm.Program.instrs program
-  in
   (* The single unresolved misprediction: every instruction fetched
      after it is wrong-path, so one checkpoint suffices. *)
-  let pending : [ `None | `In_ifq | `In_flight of int ] ref = ref `None in
+  let pending = ref No_pending in
+  let pending_seq = ref (-1) in
   let wp_active = ref false in
   let wp_index = ref 0 in
   let mispredict_at = ref 0 in
@@ -143,19 +174,6 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let wrong_path_fetched = ref 0 in
   let recovery_cycles = ref 0 in
 
-  let dep_ready seq =
-    seq < 0
-    || (not (Ruu.in_flight ruu seq))
-    ||
-    let p = Ruu.get ruu seq in
-    p.Ruu.issued && p.Ruu.complete_at <= !now
-  in
-  let entry_ready (e : Ruu.entry) =
-    (not e.Ruu.issued)
-    && !now >= e.Ruu.min_issue
-    && dep_ready e.Ruu.dep1 && dep_ready e.Ruu.dep2 && dep_ready e.Ruu.dep3
-  in
-
   (* Watchdog state: cycle of the most recent commit (or of the most
      recent cycle with an empty window, during which commits are
      legitimately impossible). *)
@@ -165,7 +183,8 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       if Ruu.is_empty ruu then (-1, "<ruu empty>")
       else begin
         let e = Ruu.get ruu (Ruu.head_seq ruu) in
-        (e.Ruu.slot, Format.asprintf "%a" Instr.pp e.Ruu.instr)
+        ( e.Ruu.slot,
+          Format.asprintf "%a" Instr.pp image.Image.instrs.(e.Ruu.slot) )
       end
     in
     raise
@@ -179,23 +198,20 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
            head_instr;
            ruu_occupancy = Ruu.occupancy ruu;
            ruu_size = Ruu.size ruu;
-           ifq_length = Queue.length ifq;
+           ifq_length = !q_len;
            pfu = Format.asprintf "%a" Pfu_file.pp_stats pfus;
          })
   in
+  let violation what = function
+    | None -> ()
+    | Some m ->
+        raise
+          (Selfcheck_violation
+             (Printf.sprintf "%s at cycle %d: %s" what !now m))
+  in
   let run_selfcheck () =
-    (match Ruu.selfcheck ruu with
-    | None -> ()
-    | Some m ->
-        raise
-          (Selfcheck_violation
-             (Printf.sprintf "ruu at cycle %d: %s" !now m)));
-    match Pfu_file.selfcheck pfus with
-    | None -> ()
-    | Some m ->
-        raise
-          (Selfcheck_violation
-             (Printf.sprintf "pfu file at cycle %d: %s" !now m))
+    violation "ruu" (Ruu.selfcheck ruu);
+    violation "pfu file" (Pfu_file.selfcheck pfus)
   in
 
   let commit_stage () =
@@ -242,71 +258,64 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     end;
     !pfu_busy_stamp.(unit_id) <- !now
   in
-  (* Entries below [issue_scan_from] are a contiguous already-issued
-     prefix of the window (issue never un-issues, and a reused ring
-     slot gets a fresh, larger seq), so the scan can skip them instead
-     of re-walking the whole RUU from the head every cycle. *)
-  let issue_scan_from = ref 0 in
+  (* Issue visits only the ready list, oldest first (see {!Ruu}): the
+     same entries, in the same order, as a scan of the whole window
+     for ready entries would. *)
   let issue_stage () =
+    let now = !now in
+    Ruu.wake ruu ~now;
+    if selfcheck then violation "scheduler" (Ruu.audit_ready ruu ~now);
     let alu_free = ref mconfig.Mconfig.n_int_alu in
     let mult_free = ref mconfig.Mconfig.n_int_mult in
     let mem_free = ref mconfig.Mconfig.n_mem_ports in
     let issued = ref 0 in
-    let seq = ref (max !issue_scan_from (Ruu.head_seq ruu)) in
-    let in_prefix = ref true in
-    while !issued < mconfig.Mconfig.issue_width && !seq < Ruu.tail_seq ruu do
-      let e = Ruu.get ruu !seq in
-      if e.Ruu.issued then begin
-        if !in_prefix then issue_scan_from := !seq + 1
-      end
-      else begin
-        in_prefix := false;
-        if entry_ready e then begin
-          let do_issue latency =
-            e.Ruu.issued <- true;
-            e.Ruu.complete_at <- !now + latency;
-            incr issued
-          in
-          match Instr.fu_class e.Ruu.instr with
-          | Op.Fu_int_alu | Op.Fu_branch ->
-              if !alu_free > 0 then begin
-                decr alu_free;
-                do_issue (Instr.latency e.Ruu.instr)
-              end
-          | Op.Fu_int_mult | Op.Fu_int_div ->
-              if !mult_free > 0 then begin
-                decr mult_free;
-                do_issue (Instr.latency e.Ruu.instr)
-              end
-          | Op.Fu_mem_read ->
-              if !mem_free > 0 then begin
-                decr mem_free;
-                (* wrong-path memory ops (mem_addr < 0) have no
-                   effective address: charge an L1 hit, probe nothing *)
-                do_issue
-                  (if e.Ruu.mem_addr >= 0 then
-                     Hierarchy.load_latency hier ~addr:e.Ruu.mem_addr
-                   else l1_hit)
-              end
-          | Op.Fu_mem_write ->
-              if !mem_free > 0 then begin
-                decr mem_free;
-                do_issue
-                  (if e.Ruu.mem_addr >= 0 then
-                     Hierarchy.store_latency hier ~addr:e.Ruu.mem_addr
-                   else l1_hit)
-              end
-          | Op.Fu_pfu ->
-              if not (pfu_busy e.Ruu.pfu_unit) then begin
-                pfu_mark_busy e.Ruu.pfu_unit;
-                do_issue (ext_latency e.Ruu.eid);
-                Pfu_file.release pfus ~unit_id:e.Ruu.pfu_unit
-              end
-          | Op.Fu_none -> do_issue 1
-        end
+    let ri = ref (Ruu.first_ready ruu) in
+    while !issued < mconfig.Mconfig.issue_width && !ri >= 0 do
+      let e = Ruu.at ruu !ri in
+      let sl = slots.(e.Ruu.slot) in
+      let ok = ref true in
+      let latency =
+        match sl.Image.fu with
+        | Image.Alu ->
+            if !alu_free > 0 then decr alu_free else ok := false;
+            sl.Image.latency
+        | Image.Mult ->
+            if !mult_free > 0 then decr mult_free else ok := false;
+            sl.Image.latency
+        | Image.Load | Image.Store ->
+            if !mem_free = 0 then begin
+              ok := false;
+              0
+            end
+            else begin
+              decr mem_free;
+              (* wrong-path memory ops (mem_addr < 0) have no
+                 effective address: charge an L1 hit, probe nothing *)
+              if e.Ruu.mem_addr < 0 then l1_hit
+              else if sl.Image.fu = Image.Load then
+                Hierarchy.load_latency hier ~addr:e.Ruu.mem_addr
+              else Hierarchy.store_latency hier ~addr:e.Ruu.mem_addr
+            end
+        | Image.Pfu ->
+            if pfu_busy e.Ruu.pfu_unit then begin
+              ok := false;
+              0
+            end
+            else begin
+              pfu_mark_busy e.Ruu.pfu_unit;
+              let latency = ext_latency e.Ruu.eid in
+              Pfu_file.release pfus ~unit_id:e.Ruu.pfu_unit;
+              latency
+            end
+        | Image.No_fu -> 1
+      in
+      if !ok then begin
+        Ruu.issue ruu e ~now ~latency;
+        incr issued
       end;
-      incr seq
-    done
+      ri := e.Ruu.next_ready
+    done;
+    if selfcheck then violation "scheduler" (Ruu.audit_ready ruu ~now)
   in
 
   (* Misprediction recovery.  Runs before [commit_stage] every cycle,
@@ -318,8 +327,9 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
      cycle it was written, and issue runs after this stage. *)
   let squash_stage () =
     match !pending with
-    | `None | `In_ifq -> ()
-    | `In_flight seq ->
+    | No_pending | In_ifq -> ()
+    | In_flight ->
+        let seq = !pending_seq in
         let resolved =
           (not (Ruu.in_flight ruu seq))
           ||
@@ -336,23 +346,21 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
             then Pfu_file.release pfus ~unit_id:e.Ruu.pfu_unit
           done;
           Ruu.truncate ruu ~tail:(seq + 1);
-          (* dropped seqs will be reassigned by later pushes: rewind
-             the issued-prefix cursor and restore the rename map from
-             the checkpoint taken at the branch's dispatch (wrong-path
-             stores never enter [store_by_word], so memory
-             disambiguation state needs no repair) *)
-          if !issue_scan_from > seq + 1 then issue_scan_from := seq + 1;
+          (* dropped seqs will be reassigned by later pushes: restore
+             the rename map from the checkpoint taken at the branch's
+             dispatch (wrong-path stores never enter [store_by_word],
+             so memory disambiguation state needs no repair) *)
           Array.blit ckpt_producer 0 producer 0 (Array.length producer);
           Bp.set_history pred !ckpt_hist;
           (* every entry still in the IFQ is wrong-path: the branch
              itself dispatched, and correct-path fetch is suspended
              until this squash *)
-          let dropped = tail - (seq + 1) + Queue.length ifq in
-          Queue.clear ifq;
+          let dropped = tail - (seq + 1) + !q_len in
+          q_len := 0;
           incr squashes;
           squashed_instrs := !squashed_instrs + dropped;
           recovery_cycles := !recovery_cycles + (!now - !mispredict_at);
-          pending := `None;
+          pending := No_pending;
           wp_active := false
         end
   in
@@ -360,90 +368,94 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let dispatch_stage () =
     let n = ref 0 in
     let continue = ref true in
-    while !continue && !n < mconfig.Mconfig.decode_width
-          && not (Queue.is_empty ifq) do
+    while !continue && !n < mconfig.Mconfig.decode_width && !q_len > 0 do
       if Ruu.is_full ruu then begin
         incr ruu_full_stalls;
         continue := false
       end
       else begin
-        let te, te_class = Queue.peek ifq in
-        (* Decode-stage configuration check for extended instructions. *)
-        let pfu_outcome =
-          match te.Trace.instr with
-          | Instr.Ext { eid; _ } ->
-              Some (Pfu_file.request pfus ~now:!now ~conf:eid)
-          | Instr.Cfgld eid ->
-              (* best-effort prefetch: start the load, never stall *)
-              Pfu_file.prefetch pfus ~now:!now ~conf:eid;
-              None
-          | Instr.Alu_rrr _ | Instr.Alu_rri _ | Instr.Shift_imm _
-          | Instr.Shift_reg _ | Instr.Lui _ | Instr.Muldiv _ | Instr.Mfhi _
-          | Instr.Mflo _ | Instr.Load _ | Instr.Store _ | Instr.Branch _
-          | Instr.Jump _ | Instr.Jal _ | Instr.Jr _ | Instr.Jalr _
-          | Instr.Nop | Instr.Halt ->
-              None
-        in
-        match pfu_outcome with
-        | Some Pfu_file.Stall -> continue := false
-        | (Some (Pfu_file.Ready _) | None) as outcome ->
-            ignore (Queue.pop ifq);
-            let e = Ruu.push ruu in
-            e.Ruu.slot <- te.Trace.index;
-            e.Ruu.instr <- te.Trace.instr;
-            e.Ruu.mem_addr <- te.Trace.mem_addr;
-            (match outcome with
-            | Some (Pfu_file.Ready { unit_id; at; hit = _ }) ->
-                (match te.Trace.instr with
-                | Instr.Ext { eid; _ } -> e.Ruu.eid <- eid
-                | _ -> ());
-                e.Ruu.pfu_unit <- unit_id;
-                (* +1: configuration check happens at decode; issue is
-                   the next stage at the earliest. *)
-                e.Ruu.min_issue <- max at (!now + 1)
-            | Some Pfu_file.Stall -> assert false
-            | None -> e.Ruu.min_issue <- !now + 1);
-            (* Register dependences. *)
-            (match Instr.uses te.Trace.instr with
-            | [] -> ()
-            | [ r1 ] -> e.Ruu.dep1 <- producer.(r1)
-            | [ r1; r2 ] ->
-                e.Ruu.dep1 <- producer.(r1);
-                e.Ruu.dep2 <- producer.(r2)
-            | r1 :: r2 :: _ ->
-                e.Ruu.dep1 <- producer.(r1);
-                e.Ruu.dep2 <- producer.(r2));
-            (* Memory dependence: youngest older store to the same
-               word.  Wrong-path memory operations carry no effective
-               address (mem_addr = -1): they neither consult nor
-               update the store bindings, so squash leaves the
-               disambiguation state untouched. *)
-            (match te.Trace.instr with
-            | Instr.Load _ when te.Trace.mem_addr >= 0 -> (
-                match
-                  Hashtbl.find_opt store_by_word (te.Trace.mem_addr lsr 2)
-                with
-                | Some s when Ruu.in_flight ruu s -> e.Ruu.dep3 <- s
-                | Some _ | None -> ())
-            | Instr.Store _ when te.Trace.mem_addr >= 0 ->
-                Hashtbl.replace store_by_word (te.Trace.mem_addr lsr 2)
-                  e.Ruu.seq
-            | _ -> ());
-            List.iter
-              (fun d -> producer.(d) <- e.Ruu.seq)
-              (Instr.defs te.Trace.instr);
-            (* Checkpoint the rename map at the mispredicted branch's
-               dispatch (after its own defs): everything dispatched
-               later — and only that — is wrong-path, so restoring
-               this snapshot at squash undoes exactly the wrong-path
-               producer updates. *)
-            if te_class = F_mispredict then begin
-              pending := `In_flight e.Ruu.seq;
-              Array.blit producer 0 ckpt_producer 0 (Array.length producer)
-            end;
-            incr n
+        let qi = !q_head in
+        let slot = q_slot.(qi) in
+        let sl = slots.(slot) in
+        (* Decode-stage configuration check for extended instructions;
+           a [cfgld] hint is a best-effort prefetch that never stalls. *)
+        let unit_id = ref (-1) and ready = ref 0 in
+        if sl.Image.ext >= 0 then begin
+          match Pfu_file.request pfus ~now:!now ~conf:sl.Image.ext with
+          | Pfu_file.Stall -> continue := false
+          | Pfu_file.Ready { unit_id = u; at; hit = _ } ->
+              unit_id := u;
+              ready := at
+        end
+        else if sl.Image.cfgld >= 0 then
+          Pfu_file.prefetch pfus ~now:!now ~conf:sl.Image.cfgld;
+        if !continue then begin
+          let mem_addr = q_addr.(qi) and cls = q_class.(qi) in
+          q_head := (if qi + 1 = q_cap then 0 else qi + 1);
+          decr q_len;
+          let e = Ruu.push ruu in
+          e.Ruu.slot <- slot;
+          e.Ruu.mem_addr <- mem_addr;
+          if sl.Image.ext >= 0 then begin
+            e.Ruu.eid <- sl.Image.ext;
+            e.Ruu.pfu_unit <- !unit_id;
+            (* +1: configuration check happens at decode; issue is the
+               next stage at the earliest. *)
+            e.Ruu.min_issue <- max !ready (!now + 1)
+          end
+          else e.Ruu.min_issue <- !now + 1;
+          (* Register dependences. *)
+          if sl.Image.use1 >= 0 then e.Ruu.dep1 <- producer.(sl.Image.use1);
+          if sl.Image.use2 >= 0 then e.Ruu.dep2 <- producer.(sl.Image.use2);
+          (* Memory dependence: youngest older store to the same word.
+             Wrong-path memory operations carry no effective address
+             (mem_addr = -1): they neither consult nor update the store
+             bindings, so squash leaves the disambiguation state
+             untouched. *)
+          if mem_addr >= 0 then begin
+            match sl.Image.fu with
+            | Image.Load -> (
+                match Int_tbl.find store_by_word (mem_addr lsr 2) with
+                | s -> if Ruu.in_flight ruu s then e.Ruu.dep3 <- s
+                | exception Not_found -> ())
+            | Image.Store ->
+                Int_tbl.replace store_by_word (mem_addr lsr 2) e.Ruu.seq
+            | Image.Alu | Image.Mult | Image.Pfu | Image.No_fu -> ()
+          end;
+          if sl.Image.def1 >= 0 then producer.(sl.Image.def1) <- e.Ruu.seq;
+          if sl.Image.def2 >= 0 then producer.(sl.Image.def2) <- e.Ruu.seq;
+          Ruu.schedule ruu e ~now:!now;
+          (* Checkpoint the rename map at the mispredicted branch's
+             dispatch (after its own defs): everything dispatched
+             later — and only that — is wrong-path, so restoring this
+             snapshot at squash undoes exactly the wrong-path producer
+             updates. *)
+          if cls = F_mispredict then begin
+            pending := In_flight;
+            pending_seq := e.Ruu.seq;
+            Array.blit producer 0 ckpt_producer 0 (Array.length producer)
+          end;
+          incr n
+        end
       end
     done
+  in
+
+  (* Instruction-cache probe on entering a new line; [false] (and the
+     fetch resume cycle set) on a miss. *)
+  let fetch_line idx =
+    let addr = Encoding.address_of_index idx in
+    let line = addr lsr line_shift in
+    if line = !last_fetch_line then true
+    else begin
+      let lat = Hierarchy.fetch_latency hier ~addr in
+      last_fetch_line := line;
+      if lat > l1_hit then begin
+        fetch_resume := !now + (lat - l1_hit);
+        false
+      end
+      else true
+    end
   in
 
   (* Correct-path fetch: up to [fetch_width] trace entries, stopping at
@@ -460,84 +472,74 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let fetch_correct () =
     let n = ref 0 in
     let continue = ref true in
-    while
-      !continue && !n < mconfig.Mconfig.fetch_width
-      && Queue.length ifq < mconfig.Mconfig.ifq_size
+    while !continue && !n < mconfig.Mconfig.fetch_width && !q_len < ifq_size
     do
-      match peek () with
-      | None -> continue := false
-      | Some te ->
-          let addr = Encoding.address_of_index te.Trace.index in
-          let line = addr lsr line_shift in
-          if line <> !last_fetch_line then begin
-            let lat = Hierarchy.fetch_latency hier ~addr in
-            last_fetch_line := line;
-            if lat > l1_hit then begin
-              fetch_resume := !now + (lat - l1_hit);
-              continue := false
-            end
+      let idx = peek () in
+      if idx < 0 then continue := false
+      else if not (fetch_line idx) then continue := false
+      else begin
+        let mem_addr = !la_addr in
+        la_full := false;
+        let sl = slots.(idx) in
+        if sl.Image.control = Image.Not_control then begin
+          q_push idx mem_addr F_ok;
+          incr n
+        end
+        else begin
+          let actual_next =
+            let nxt = peek () in
+            if nxt >= 0 then nxt else idx + 1
+          in
+          let fall = idx + 1 in
+          (* [wp_start] is the predicted-path start, -1 for none *)
+          let correct = ref true and wp_start = ref (-1) in
+          (* Perfect must not reach [Bp.predict_dir], which answers
+             "taken" for it *)
+          if not perfect then begin
+            match sl.Image.control with
+            | Image.Cond_branch ->
+                let target = sl.Image.target in
+                let taken = actual_next <> fall in
+                let dir = Bp.predict_dir pred ~index:idx ~target in
+                Bp.train_dir pred ~index:idx ~taken;
+                let predicted = if dir then target else fall in
+                correct := predicted = actual_next;
+                wp_start := predicted
+            | Image.Direct_jump ->
+                (* direct targets are decoded, never mispredicted *)
+                correct := sl.Image.target = actual_next
+            | Image.Indirect_jump -> (
+                let prior = Bp.btb_lookup pred ~index:idx in
+                Bp.btb_update pred ~index:idx ~target:actual_next;
+                match prior with
+                | Some t ->
+                    correct := t = actual_next;
+                    wp_start := t
+                | None -> correct := false)
+            | Image.Not_control -> ()
           end;
-          if !continue then begin
-            consume ();
-            if Instr.is_control te.Trace.instr then begin
-              let actual_next =
-                match peek () with
-                | Some nxt -> nxt.Trace.index
-                | None -> te.Trace.index + 1
-              in
-              let fall = te.Trace.index + 1 in
-              let correct, wp_start =
-                (* Perfect must not reach [Bp.predict_dir], which
-                   answers "taken" for it *)
-                if perfect then (true, None)
-                else
-                match te.Trace.instr with
-                | Instr.Branch (_, _, _, target) ->
-                    let taken = actual_next <> fall in
-                    let dir =
-                      Bp.predict_dir pred ~index:te.Trace.index ~target
-                    in
-                    Bp.train_dir pred ~index:te.Trace.index ~taken;
-                    let predicted = if dir then target else fall in
-                    (predicted = actual_next, Some predicted)
-                | Instr.Jump target | Instr.Jal target ->
-                    (* direct targets are decoded, never mispredicted *)
-                    (target = actual_next, None)
-                | Instr.Jr _ | Instr.Jalr _ -> (
-                    let prior = Bp.btb_lookup pred ~index:te.Trace.index in
-                    Bp.btb_update pred ~index:te.Trace.index
-                      ~target:actual_next;
-                    match prior with
-                    | Some t -> (t = actual_next, Some t)
-                    | None -> (false, None))
-                | _ -> (true, None)
-              in
-              if correct then begin
-                Queue.push (te, F_ok) ifq;
-                incr n;
-                (* fetch stops at a taken control transfer *)
-                if actual_next <> fall then continue := false
-              end
-              else begin
-                incr mispredicts;
-                mispredict_at := !now;
-                ckpt_hist := Bp.history pred;
-                pending := `In_ifq;
-                (match wp_start with
-                | Some t when t >= 0 && t < Array.length static_code ->
-                    wp_active := true;
-                    wp_index := t
-                | Some _ | None -> wp_active := false);
-                Queue.push (te, F_mispredict) ifq;
-                incr n;
-                continue := false
-              end
-            end
-            else begin
-              Queue.push (te, F_ok) ifq;
-              incr n
-            end
+          if !correct then begin
+            q_push idx mem_addr F_ok;
+            incr n;
+            (* fetch stops at a taken control transfer *)
+            if actual_next <> fall then continue := false
           end
+          else begin
+            incr mispredicts;
+            mispredict_at := !now;
+            ckpt_hist := Bp.history pred;
+            pending := In_ifq;
+            if !wp_start >= 0 && !wp_start < n_slots then begin
+              wp_active := true;
+              wp_index := !wp_start
+            end
+            else wp_active := false;
+            q_push idx mem_addr F_mispredict;
+            incr n;
+            continue := false
+          end
+        end
+      end
     done
   in
 
@@ -554,47 +556,36 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     let continue = ref true in
     while
       !continue && !wp_active && !n < mconfig.Mconfig.fetch_width
-      && Queue.length ifq < mconfig.Mconfig.ifq_size
+      && !q_len < ifq_size
     do
       let idx = !wp_index in
-      if idx < 0 || idx >= Array.length static_code then wp_active := false
+      if idx < 0 || idx >= n_slots then wp_active := false
+      else if not (fetch_line idx) then continue := false
       else begin
-        let addr = Encoding.address_of_index idx in
-        let line = addr lsr line_shift in
-        if line <> !last_fetch_line then begin
-          let lat = Hierarchy.fetch_latency hier ~addr in
-          last_fetch_line := line;
-          if lat > l1_hit then begin
-            fetch_resume := !now + (lat - l1_hit);
-            continue := false
-          end
-        end;
-        if !continue then begin
-          let instr = static_code.(idx) in
-          Queue.push ({ Trace.index = idx; instr; mem_addr = -1 }, F_wrong)
-            ifq;
-          incr wrong_path_fetched;
-          incr n;
-          match instr with
-          | Instr.Branch (_, _, _, target) ->
-              let dir = Bp.predict_dir pred ~index:idx ~target in
-              Bp.spec_dir pred ~taken:dir;
-              if dir then begin
-                wp_index := target;
-                continue := false
-              end
-              else wp_index := idx + 1
-          | Instr.Jump target | Instr.Jal target ->
+        let sl = slots.(idx) in
+        q_push idx (-1) F_wrong;
+        incr wrong_path_fetched;
+        incr n;
+        match sl.Image.control with
+        | Image.Cond_branch ->
+            let target = sl.Image.target in
+            let dir = Bp.predict_dir pred ~index:idx ~target in
+            Bp.spec_dir pred ~taken:dir;
+            if dir then begin
               wp_index := target;
               continue := false
-          | Instr.Jr _ | Instr.Jalr _ -> (
-              match Bp.btb_lookup pred ~index:idx with
-              | Some t ->
-                  wp_index := t;
-                  continue := false
-              | None -> wp_active := false)
-          | _ -> wp_index := idx + 1
-        end
+            end
+            else wp_index := idx + 1
+        | Image.Direct_jump ->
+            wp_index := sl.Image.target;
+            continue := false
+        | Image.Indirect_jump -> (
+            match Bp.btb_lookup pred ~index:idx with
+            | Some t ->
+                wp_index := t;
+                continue := false
+            | None -> wp_active := false)
+        | Image.Not_control -> wp_index := idx + 1
       end
     done
   in
@@ -605,13 +596,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     end
     else
       match !pending with
-      | `None -> fetch_correct ()
-      | `In_ifq | `In_flight _ ->
+      | No_pending -> fetch_correct ()
+      | In_ifq | In_flight ->
           if !wp_active then fetch_wrong () else incr fetch_stall_cycles
   in
 
   let finished () =
-    !trace_done && !peeked = None && Queue.is_empty ifq && Ruu.is_empty ruu
+    !trace_done && (not !la_full) && !q_len = 0 && Ruu.is_empty ruu
   in
   (* Prime the lookahead so [finished] is meaningful for empty traces. *)
   ignore (peek ());

@@ -34,7 +34,12 @@
 
     Memory disambiguation is perfect: effective addresses come from the
     functional interpreter, and a load waits only for older in-flight
-    stores to the same word. *)
+    stores to the same word.
+
+    The stages read a pre-decoded {!Image} of the program, built once
+    per run, and issue is event driven ({!Ruu}): entries join a ready
+    list when their last producer issues instead of being found by a
+    per-cycle window scan.  See DESIGN.md Section 5k. *)
 
 open T1000_isa
 open T1000_asm
@@ -65,7 +70,7 @@ exception Sim_stuck of stuck
 (** The watchdog tripped: runaway or deadlocked simulation. *)
 
 exception Selfcheck_violation of string
-(** An RUU or PFU-file structural invariant failed under
+(** An RUU, scheduler or PFU-file invariant failed under
     [~selfcheck:true] — always a simulator bug, never a property of the
     simulated program. *)
 
@@ -96,9 +101,10 @@ val run :
 
     [~selfcheck:true] additionally audits the RUU and PFU-file
     structural invariants after every committing cycle
-    ({!Ruu.selfcheck}, {!Pfu_file.selfcheck}), raising
-    {!Selfcheck_violation} on the first violation.  Statistics are
-    unaffected.
+    ({!Ruu.selfcheck}, {!Pfu_file.selfcheck}) and the issue
+    scheduler's ready list at the start and end of every issue pass
+    ({!Ruu.audit_ready}), raising {!Selfcheck_violation} on the first
+    violation.  Statistics are unaffected.
     @raise T1000_machine.Interp.Fault on architectural faults.
     @raise Sim_stuck when a watchdog fires.
     @raise Selfcheck_violation under [~selfcheck:true] on an invariant

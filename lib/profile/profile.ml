@@ -13,6 +13,7 @@ type t = {
 let collect ?(max_steps = 1_000_000_000) ?ext_eval ~init program =
   let n = Program.length program in
   let counts = Array.make n 0 in
+  let latency = Array.map Instr.latency (Program.instrs program) in
   let bw = Bitwidth.create ~n_slots:n in
   let weight = ref 0 in
   let mem = Memory.create () in
@@ -22,7 +23,7 @@ let collect ?(max_steps = 1_000_000_000) ?ext_eval ~init program =
   Interp.set_observer interp (fun obs ->
       let i = obs.Trace.entry.Trace.index in
       counts.(i) <- counts.(i) + 1;
-      weight := !weight + Instr.latency obs.Trace.entry.Trace.instr;
+      weight := !weight + latency.(i);
       Bitwidth.record bw obs);
   let total = Interp.run ~max_steps interp in
   { program; counts; bitwidth = bw; total_instrs = total; total_weight = !weight }

@@ -141,6 +141,41 @@ let test_tlb_basics () =
   Tlb.flush t;
   check_bool "flushed" false (Tlb.access t ~addr:0x1000)
 
+let test_tlb_mru_interleaved () =
+  (* Runs of one page take the most-recently-used hit path; the pages
+     interleaved between them take the full search.  The hit/miss
+     sequence is the one the LRU search alone produced. *)
+  let t = Tlb.create ~name:"t" ~entries:4 ~page_bytes:4096 in
+  let pages =
+    [ 1; 1; 2; 1; 2; 3; 1; 4; 1; 5; 2; 1; 1; 6; 3; 3; 1; 7; 2; 4; 1; 1; 8; 5 ]
+  in
+  let seq =
+    String.concat ""
+      (List.map
+         (fun p ->
+           if Tlb.access t ~addr:((p * 4096) + (8 * p)) then "h" else "m")
+         pages)
+  in
+  Alcotest.(check string) "hit/miss sequence" "mhmhhmhmhmmhhmmhhmmmhhmm" seq;
+  check_int "misses" 13 (Tlb.misses t);
+  Alcotest.(check (float 1e-9)) "miss rate" (13.0 /. 24.0) (Tlb.miss_rate t)
+
+let test_tlb_lru_reference =
+  QCheck.Test.make ~name:"tlb agrees with list-based LRU model" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 200) (int_range 0 9))
+    (fun pages ->
+      let entries = 4 in
+      let t = Tlb.create ~name:"ref" ~entries ~page_bytes:4096 in
+      let model = ref [] in
+      List.for_all
+        (fun p ->
+          let hit_model = List.mem p !model in
+          model := p :: List.filter (fun q -> q <> p) !model;
+          if List.length !model > entries then
+            model := List.filteri (fun i _ -> i < entries) !model;
+          Tlb.access t ~addr:(p * 4096) = hit_model)
+        pages)
+
 let test_tlb_validation () =
   check_bool "bad entries" true
     (match Tlb.create ~name:"x" ~entries:0 ~page_bytes:4096 with
@@ -243,7 +278,10 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_tlb_basics;
           Alcotest.test_case "validation" `Quick test_tlb_validation;
-        ] );
+          Alcotest.test_case "mru path, interleaved pages" `Quick
+            test_tlb_mru_interleaved;
+        ]
+        @ qsuite [ test_tlb_lru_reference ] );
       ( "hierarchy",
         [
           Alcotest.test_case "latencies" `Quick test_hierarchy_latencies;

@@ -348,7 +348,9 @@ let test_watchdog_no_commit () =
      with
     | _ -> false
     | exception Sim.Sim_stuck s ->
-        s.Sim.reason = `No_commit && s.Sim.limit = 10 && s.Sim.committed >= 1)
+        s.Sim.reason = `No_commit && s.Sim.limit = 10 && s.Sim.committed >= 1
+        && s.Sim.head_slot = 1
+        && s.Sim.head_instr = "ext#0 r9, r8, r0")
 
 (* ---------- self-check ---------- *)
 

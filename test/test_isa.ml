@@ -113,6 +113,39 @@ let test_width_minimal =
       let fits bits = v >= -(1 lsl (bits - 1)) && v < 1 lsl (bits - 1) in
       fits w && (w = 1 || not (fits (w - 1))))
 
+(* The bit-at-a-time loop [Word] used before its shift cascade: the
+   reference the cascade must agree with everywhere. *)
+let ref_bits_for_nonneg v =
+  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
+  if v = 0 then 0 else go v 0
+
+let ref_width_signed v =
+  if v >= 0 then 1 + ref_bits_for_nonneg v
+  else 1 + ref_bits_for_nonneg (lnot v)
+
+let ref_width_unsigned v =
+  let v = Word.to_u32 v in
+  if v = 0 then 1 else ref_bits_for_nonneg v
+
+let check_widths_match v =
+  check_int (Printf.sprintf "width_signed %d" v) (ref_width_signed v)
+    (Word.width_signed v);
+  check_int (Printf.sprintf "width_unsigned %d" v) (ref_width_unsigned v)
+    (Word.width_unsigned v)
+
+let test_width_matches_loop () =
+  List.iter check_widths_match [ 0; 1; -1; min_int; max_int ];
+  for k = 0 to Sys.int_size - 2 do
+    let p = 1 lsl k in
+    List.iter check_widths_match [ p; -p; p - 1; -(p - 1) ]
+  done
+
+let test_width_matches_loop_random =
+  QCheck.Test.make ~name:"widths agree with the bit-at-a-time loop"
+    ~count:2000 QCheck.int (fun v ->
+      Word.width_signed v = ref_width_signed v
+      && Word.width_unsigned v = ref_width_unsigned v)
+
 (* ---------- Reg ---------- *)
 
 let test_reg () =
@@ -366,9 +399,16 @@ let () =
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "extend" `Quick test_extend;
           Alcotest.test_case "width" `Quick test_width;
+          Alcotest.test_case "width matches loop" `Quick
+            test_width_matches_loop;
         ]
         @ qsuite
-            [ test_mul_hi_reference; test_width_bounds; test_width_minimal ]
+            [
+              test_mul_hi_reference;
+              test_width_bounds;
+              test_width_minimal;
+              test_width_matches_loop_random;
+            ]
       );
       ("reg", [ Alcotest.test_case "basics" `Quick test_reg ]);
       ( "instr",
