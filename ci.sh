@@ -180,6 +180,20 @@ tail -n 1 "$KERNELS_OUT" | grep -q '"correct":true' || {
   exit 1
 }
 
+echo "== verify: golden renderings under the post-simulation output check =="
+# One pass of the benchmark's golden workload: all 15 renderings, each
+# greedy/selective run checked against the profiling run's reference
+# output, must match test/golden byte for byte with no failed operation.
+GOLDEN_OUT="$CKPT_DIR/bench_golden.out"
+timeout 900 dune exec bench/suite/t1000_bench.exe -- \
+  once --workload golden --seconds 1 --trace 0 > "$GOLDEN_OUT"
+tail -n 1 "$GOLDEN_OUT" | grep -q '"correct":true' \
+  && tail -n 1 "$GOLDEN_OUT" | grep -q '"failed":0' || {
+  echo "golden workload: renderings differ or an operation failed" >&2
+  tail -n 1 "$GOLDEN_OUT" >&2
+  exit 1
+}
+
 echo "== dse: frontier determinism across worker counts =="
 # A tiny-budget design-space exploration on the reduced suite must
 # print a byte-identical frontier sequentially and on 4 workers.

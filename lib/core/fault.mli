@@ -23,8 +23,10 @@ type t =
   | Interp_fault of string
       (** architectural fault from the functional interpreter *)
   | Verify_mismatch of string
-      (** the rewritten program's functional output diverged from the
-          original's ({!Runner.verify_outputs}) *)
+      (** the rewritten program's output diverged from the original's:
+          checked by {!Runner.run} on the simulator's committed memory
+          against the profiling run's, and by {!Runner.verify_outputs}
+          on two interpreter runs *)
   | Injected of string
       (** test-hook fault injected via [T1000_FAULT_INJECT] *)
   | Overloaded of string

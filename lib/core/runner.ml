@@ -73,19 +73,27 @@ type analysis = {
   cfg : Cfg.t;
   loops : Loops.t;
   live : Liveness.t;
+  reference : string;
 }
 
-let analyze (w : Workload.t) =
+(* Run [f] with an [~init] that prepares the workload's initial state
+   and keeps the memory it is given: after the run, the final state. *)
+let with_final_memory (w : Workload.t) f =
+  let final = ref None in
+  let r = f (fun mem regs -> final := Some mem; w.Workload.init mem regs) in
+  (r, Option.get !final)
+
+let analyze ?max_steps (w : Workload.t) =
   T1000_obs.Metrics.time "phase.analyze" @@ fun () ->
-  let profile =
-    Profile.collect ~init:(fun mem regs -> w.Workload.init mem regs)
-      w.Workload.program
+  let profile, mem =
+    with_final_memory w (fun init ->
+        Profile.collect ?max_steps ~init w.Workload.program)
   in
   let cfg = Cfg.of_program w.Workload.program in
   let dom = Dominators.compute cfg in
   let loops = Loops.compute cfg dom in
   let live = Liveness.compute cfg in
-  { profile; cfg; loops; live }
+  { profile; cfg; loops; live; reference = Workload.output w mem }
 
 type run = {
   workload : Workload.t;
@@ -102,13 +110,10 @@ let functional_output (w : Workload.t) table program =
   let interp =
     Interp.create ~mem ~regs ~ext_eval:(Extinstr.eval table) program
   in
-  ignore (Interp.run interp);
-  Workload.output w mem
+  let steps = Interp.run interp in
+  (steps, Workload.output w mem)
 
-let verify_outputs (w : Workload.t) table rewritten =
-  T1000_obs.Metrics.time "phase.verify" @@ fun () ->
-  let reference = functional_output w Extinstr.empty w.Workload.program in
-  let got = functional_output w table rewritten in
+let check_output (w : Workload.t) ~reference got =
   if not (String.equal reference got) then
     raise
       (Fault.Error
@@ -116,6 +121,13 @@ let verify_outputs (w : Workload.t) table rewritten =
             (Printf.sprintf
                "%s: rewritten program diverges from the original"
                w.Workload.name)))
+
+let verify_outputs (w : Workload.t) table rewritten =
+  T1000_obs.Metrics.time "phase.verify" @@ fun () ->
+  let output table program = snd (functional_output w table program) in
+  check_output w
+    ~reference:(output Extinstr.empty w.Workload.program)
+    (output table rewritten)
 
 let select_table s analysis =
   validate s;
@@ -177,9 +189,7 @@ let run ?analysis ?table (w : Workload.t) s =
           |> List.sort_uniq compare
         end
       in
-      let r = Rewrite.apply ~prefetch w.Workload.program table in
-      verify_outputs w table r.Rewrite.program;
-      r.Rewrite.program
+      (Rewrite.apply ~prefetch w.Workload.program table).Rewrite.program
     end
   in
   let machine =
@@ -196,25 +206,24 @@ let run ?analysis ?table (w : Workload.t) s =
         fun eid ->
           T1000_hwcost.Lut.latency_estimate (Extinstr.get table eid).Extinstr.dfg
   in
-  let stats =
+  let stats, mem =
     T1000_obs.Metrics.time "phase.sim" @@ fun () ->
-    Sim.run ~mconfig:machine ~ext_latency ~ext_eval:(Extinstr.eval table)
-      ~selfcheck:s.selfcheck
-      ~init:(fun mem regs -> w.Workload.init mem regs)
-      program
+    with_final_memory w (fun init ->
+        Sim.run ~mconfig:machine ~ext_latency ~ext_eval:(Extinstr.eval table)
+          ~selfcheck:s.selfcheck ~init program)
   in
+  (* The rewriter's safety net.  The simulator never executes
+     wrong-path instructions, so its final memory is the committed
+     state: its output must be the profiling run's. *)
+  if Extinstr.count table > 0 then
+    T1000_obs.Metrics.time "phase.verify" (fun () ->
+        check_output w ~reference:analysis.reference (Workload.output w mem));
   (* Self-check mode cross-validates the timing simulator's
-     architectural results against the functional interpreter: same
-     program, same inputs, so the committed-instruction count and the
-     output region must agree exactly. *)
+     architectural results against an independent functional run of the
+     same program on the same inputs: the committed-instruction count
+     must agree exactly, and the output must match the original's. *)
   if s.selfcheck then begin
-    let mem = Memory.create () in
-    let regs = Regfile.create () in
-    w.Workload.init mem regs;
-    let interp =
-      Interp.create ~mem ~regs ~ext_eval:(Extinstr.eval table) program
-    in
-    let steps = Interp.run interp in
+    let steps, interp_out = functional_output w table program in
     if steps <> stats.Stats.committed then
       raise
         (Fault.Error
@@ -223,9 +232,7 @@ let run ?analysis ?table (w : Workload.t) s =
                  "%s: simulator committed %d instructions but the \
                   functional interpreter retired %d"
                  w.Workload.name stats.Stats.committed steps)));
-    let interp_out = Workload.output w mem in
-    let ref_out = functional_output w Extinstr.empty w.Workload.program in
-    if not (String.equal interp_out ref_out) then
+    if not (String.equal interp_out analysis.reference) then
       raise
         (Fault.Error
            (Fault.Selfcheck_failed

@@ -72,9 +72,20 @@ type analysis = {
   cfg : Cfg.t;
   loops : Loops.t;
   live : Liveness.t;
+  reference : string;
+      (** the original program's output region
+          ({!T1000_workloads.Workload.output}) at the end of the
+          profiling run: what every rewritten program must reproduce *)
 }
 
-val analyze : Workload.t -> analysis
+val analyze : ?max_steps:int -> Workload.t -> analysis
+(** Profile the original program once under the functional interpreter
+    and run the static analyses.  [?max_steps] caps the profiling run
+    (default {!T1000_profile.Profile.collect}'s); the serve daemon sets
+    it so a non-halting submitted kernel fails instead of wedging a
+    worker.
+    @raise T1000_machine.Interp.Fault on an architectural fault or when
+      the step cap is reached. *)
 
 type run = {
   workload : Workload.t;
@@ -94,21 +105,32 @@ val select_table : setup -> analysis -> T1000_select.Extinstr.t
 
 val run : ?analysis:analysis -> ?table:T1000_select.Extinstr.t ->
   Workload.t -> setup -> run
-(** Select, rewrite, and simulate.  The functional outputs of the
-    rewritten program are verified against the original's before timing
-    (a safety net for the rewriter); a mismatch raises {!Fault.Error}
-    with [Verify_mismatch].  [?table] supplies a precomputed selection
+(** Select, rewrite, and simulate.  The rewritten program's outputs
+    are checked after timing, from the simulator's committed memory: its
+    output region must equal [analysis.reference] byte for byte (a
+    safety net for the rewriter, timed as [phase.verify]); a mismatch
+    raises {!Fault.Error} with [Verify_mismatch].  [Baseline] runs, and
+    any run whose table is empty, simulate the original program and are
+    not checked.  No extra interpreter run is made: a rewritten program
+    that faults raises {!T1000_machine.Interp.Fault} from inside
+    {!T1000_ooo.Sim.run}, and one that never halts trips the
+    simulator's cycle watchdog ({!T1000_ooo.Sim.Sim_stuck}).
+    [?table] supplies a precomputed selection
     (e.g. from the {!Experiment} cache), skipping the selection step;
     it must be the table {!select_table} would have produced for [s].
     With [s.selfcheck] set, the simulator audits its RUU/PFU-file
-    invariants at every commit and the architectural results are
-    cross-validated against the functional interpreter afterwards;
-    violations raise {!Fault.Error} with [Selfcheck_failed] (or
-    {!T1000_ooo.Sim.Selfcheck_violation} from inside the pipeline). *)
+    invariants at every commit, and an independent functional
+    interpreter run of the simulated program must retire exactly the
+    simulator's committed-instruction count and reproduce
+    [analysis.reference]; violations raise {!Fault.Error} with
+    [Selfcheck_failed] (or {!T1000_ooo.Sim.Selfcheck_violation} from
+    inside the pipeline). *)
 
 val speedup : baseline:run -> run -> float
 
 val verify_outputs : Workload.t -> Extinstr.t -> Program.t -> unit
-(** Run original and rewritten programs functionally and compare output
-    regions byte for byte.
+(** Run original and rewritten programs on the functional interpreter
+    and compare output regions byte for byte: the standalone form of
+    the check {!run} makes, for callers that do not go through
+    {!run}.
     @raise Fault.Error with [Verify_mismatch] on a mismatch. *)

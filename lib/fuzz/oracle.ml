@@ -69,10 +69,20 @@ let check (c : Gen.case) : (unit, failure) result =
   try
     let w = Gen.workload c in
     let analysis = Runner.analyze w in
+    let steps0, out0 = interp_run w Extinstr.empty w.Workload.program in
+    (* [Runner.run] checks every rewritten program against the output
+       the profiling run captured, so that capture must be the
+       original program's output. *)
+    let* () =
+      if String.equal analysis.Runner.reference out0 then Ok ()
+      else
+        fail "analysis" "reference"
+          "profiling run captured an output that differs from the \
+           interpreter's"
+    in
     let baseline =
       Runner.run ~analysis w (Runner.setup ~selfcheck:true Runner.Baseline)
     in
-    let steps0, out0 = interp_run w Extinstr.empty w.Workload.program in
     if baseline.Runner.stats.Stats.committed <> steps0 then
       fail "baseline" "commit-trace"
         "simulator committed %d instructions but the interpreter retired %d"

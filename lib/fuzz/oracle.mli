@@ -5,6 +5,10 @@
     self-check enabled — and is cross-validated against the functional
     interpreter:
 
+    - the output the profiling run captured ([Runner.analysis]'s
+      [reference], against which {!T1000.Runner.run} checks every
+      rewritten program) equals the interpreter's output of the
+      original program;
     - the rewritten program's architectural output (the workload's
       whole observable region, extended instructions evaluated through
       their {!T1000_select.Extinstr} evaluators) equals the original's;
@@ -23,7 +27,8 @@
     catches a broken invariant and shrinks it to a small reproducer. *)
 
 type failure = {
-  method_ : string;  (** "baseline", "greedy", "selective" or "pipeline" *)
+  method_ : string;
+      (** "analysis", "baseline", "greedy", "selective" or "pipeline" *)
   invariant : string;  (** short id, e.g. ["state-divergence"] *)
   detail : string;
 }

@@ -314,22 +314,6 @@ let setup_of_select (sel : Protocol.select) =
   | Some max_cycles ->
       { s with Runner.machine = { s.Runner.machine with Mconfig.max_cycles } }
 
-(* Like {!Runner.analyze}, but with the server's functional-step cap so
-   a non-halting client-submitted kernel surfaces as a typed
-   [Interp_fault] instead of wedging a worker domain. *)
-let analyze_capped ~max_steps (w : Workload.t) =
-  Metrics.time "phase.analyze" @@ fun () ->
-  let profile =
-    T1000_profile.Profile.collect ~max_steps
-      ~init:(fun mem regs -> w.Workload.init mem regs)
-      w.Workload.program
-  in
-  let cfg = T1000_asm.Cfg.of_program w.Workload.program in
-  let dom = T1000_asm.Dominators.compute cfg in
-  let loops = T1000_asm.Loops.compute cfg dom in
-  let live = T1000_asm.Liveness.compute cfg in
-  { Runner.profile; cfg; loops; live }
-
 let method_tag = function
   | `Baseline -> "b"
   | `Greedy -> "g"
@@ -355,8 +339,11 @@ let compute srv (sel : Protocol.select) : Protocol.outcome =
     Memo.find_or_compute srv.results rkey @@ fun () ->
     let w = resolve_kernel sel.Protocol.kernel in
     let analysis =
+      (* The server's functional-step cap makes a non-halting submitted
+         kernel surface as a typed [Interp_fault] instead of wedging a
+         worker domain. *)
       Memo.find_or_compute srv.analyses kkey (fun () ->
-          analyze_capped ~max_steps:srv.cfg.max_steps w)
+          Runner.analyze ~max_steps:srv.cfg.max_steps w)
     in
     let baseline =
       (* Keyed on the kernel and the cycle budget: the budget is the

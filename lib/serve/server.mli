@@ -78,9 +78,11 @@ type config = {
       (** transient-fault retries per request
           ({!T1000.Pool.run_result} default when [None]) *)
   max_steps : int;
-      (** functional-execution step cap when profiling and verifying
-          client-submitted kernels, so a non-halting program is a typed
-          fault, not a wedged worker *)
+      (** functional-execution step cap when profiling
+          client-submitted kernels ({!T1000.Runner.analyze}), so a
+          non-halting program is a typed fault, not a wedged worker;
+          a rewritten program is bounded by the simulator's cycle
+          watchdog instead *)
   memo_cap : int;
       (** LRU capacity of each cross-request memo table; a long-lived
           daemon must not grow without bound *)

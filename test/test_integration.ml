@@ -123,6 +123,34 @@ let test_verify_outputs_detects_divergence () =
     | exception _ -> true
     | () -> T1000_select.Extinstr.count g.Runner.table = 0)
 
+(* Runner.run checks a rewritten program's committed output against
+   [analysis.reference]: corrupt one byte of it and every run that
+   simulates a rewritten program must fail, while a baseline run (empty
+   table, the original program) is not checked at all. *)
+let corrupted_analysis () =
+  let a = Lazy.force analysis in
+  let b = Bytes.of_string a.Runner.reference in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+  { a with Runner.reference = Bytes.to_string b }
+
+let test_run_checks_reference () =
+  let analysis = corrupted_analysis () in
+  List.iter
+    (fun (name, method_) ->
+      check_bool (name ^ " raises Verify_mismatch") true
+        (match Runner.run ~analysis (Lazy.force gsm) (Runner.setup method_) with
+        | exception Fault.Error (Fault.Verify_mismatch _) -> true
+        | _ -> false))
+    [ ("greedy", Runner.Greedy); ("selective", Runner.Selective) ]
+
+let test_baseline_unverified () =
+  let r =
+    Runner.run ~analysis:(corrupted_analysis ()) (Lazy.force gsm)
+      (Runner.setup Runner.Baseline)
+  in
+  check_int "same cycles as with the true reference"
+    (Lazy.force baseline).Runner.stats.Stats.cycles r.Runner.stats.Stats.cycles
+
 (* ---- experiment drivers on a reduced suite (2 benchmarks) ---- *)
 
 let small_ctx =
@@ -203,6 +231,10 @@ let () =
             test_config_prefetch_end_to_end;
           Alcotest.test_case "verification net" `Quick
             test_verify_outputs_detects_divergence;
+          Alcotest.test_case "run checks the reference" `Quick
+            test_run_checks_reference;
+          Alcotest.test_case "baseline is not verified" `Quick
+            test_baseline_unverified;
         ] );
       ( "experiments",
         [

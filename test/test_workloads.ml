@@ -56,6 +56,11 @@ let analyze (w : Workload.t) =
       Hashtbl.replace analysis_cache w.Workload.name a;
       a
 
+let test_reference_is_original_output (w : Workload.t) () =
+  let _, out = functional_output w T1000_select.Extinstr.empty w.Workload.program in
+  check_bool "profiling run captured the original output" true
+    (String.equal (analyze w).T1000.Runner.reference out)
+
 let test_greedy_finds_chains (w : Workload.t) () =
   let a = analyze w in
   let r =
@@ -128,6 +133,7 @@ let () =
       ("registry", [ Alcotest.test_case "contents" `Quick test_registry ]);
       ("completion", per_workload "runs" test_runs_to_completion);
       ("determinism", per_workload "same" test_deterministic);
+      ("reference", per_workload "output" test_reference_is_original_output);
       ("chains", per_workload "greedy" test_greedy_finds_chains);
       ( "equivalence",
         per_workload "greedy" (test_rewrite_equivalence `Greedy)
