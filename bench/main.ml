@@ -343,8 +343,10 @@ let run_speed () =
     (* speculation overhead: selective 2-PFU suite simulation per
        front-end predictor.  A warm-up pass pays the shared analysis
        and selection cost up front so the timed legs are
-       simulation-dominated; the cycle deltas are the model cost of
-       wrong-path fetch, the Minstr/s deltas its engine cost. *)
+       simulation-dominated; it must not simulate, or the ctx's run
+       memo would serve the timed perfect leg.  The cycle deltas are
+       the model cost of wrong-path fetch, the Minstr/s deltas its
+       engine cost. *)
     let module Bp = T1000_bpred.Predictor in
     let ctx = Experiment.create_ctx ~workloads:(suite_workloads ()) () in
     let setup_for bp =
@@ -354,7 +356,8 @@ let run_speed () =
       { (Runner.setup ~n_pfus:(Some 2) Runner.Selective) with Runner.machine }
     in
     List.iter
-      (fun w -> ignore (Experiment.run_setup ctx w (setup_for Bp.Perfect)))
+      (fun w ->
+        ignore (Experiment.selection_table ctx w (setup_for Bp.Perfect)))
       (suite_workloads ());
     List.map
       (fun (label, bp) ->

@@ -63,6 +63,18 @@ diff "$CLEAN_OUT" "$RESUMED_OUT" || {
   exit 1
 }
 
+# The same sweep under self-check executes every cycle the simulator's
+# dead-cycle skip would elide and audits each skipped span (DESIGN.md
+# Section 5k); s52's reconfiguration stalls are where skipping matters
+# most.  The audit must pass and must not change a byte.
+AUDITED_OUT="$CKPT_DIR/audited.out"
+T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 T1000_SELFCHECK=1 \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment s52 > "$AUDITED_OUT"
+diff "$CLEAN_OUT" "$AUDITED_OUT" || {
+  echo "self-checked s52 differs from the skipping run" >&2
+  exit 1
+}
+
 echo "== fuzz: differential oracle on a fixed seed =="
 # Bounded smoke of the fuzz subsystem: 100 random programs through the
 # whole pipeline against the reference interpreter, plus checkpoint

@@ -25,7 +25,7 @@ let sel_key (s : Runner.setup) =
 type ctx = {
   suite : Workload.t list;
   analyses : (string, Runner.analysis) Memo.t;
-  baselines : (string * Mconfig.t, Runner.run) Memo.t;
+  runs : (string * int * Runner.setup, Runner.run) Memo.t;
   tables : (string * sel_key, T1000_select.Extinstr.t) Memo.t;
 }
 
@@ -33,7 +33,7 @@ let create_ctx ?(workloads = Registry.all) () =
   {
     suite = workloads;
     analyses = Memo.create ~name:"analysis" 8;
-    baselines = Memo.create ~name:"baseline" 8;
+    runs = Memo.create ~name:"run" ~cap:1024 64;
     tables = Memo.create ~name:"tables" 32;
   }
 
@@ -41,17 +41,6 @@ let workloads ctx = ctx.suite
 
 let analysis ctx (w : Workload.t) =
   Memo.find_or_compute ctx.analyses w.Workload.name (fun () -> Runner.analyze w)
-
-let baseline_for ctx (w : Workload.t) machine =
-  Memo.find_or_compute ctx.baselines
-    (w.Workload.name, machine)
-    (fun () ->
-      Runner.run ~analysis:(analysis ctx w) w
-        { (Runner.setup Runner.Baseline) with Runner.machine })
-
-let baseline ctx (w : Workload.t) = baseline_for ctx w Mconfig.default
-
-let baseline_stats ctx w = (baseline ctx w).Runner.stats
 
 let selection_table ctx (w : Workload.t) s =
   match sel_key s with
@@ -61,12 +50,30 @@ let selection_table ctx (w : Workload.t) s =
         (w.Workload.name, k)
         (fun () -> Runner.select_table s (analysis ctx w))
 
+(* A setup is plain data and a run a pure function of (w, setup), so
+   figures that revisit a machine point share one simulation.  The key
+   carries a deep hash of the setup ([Hashtbl.hash] never reaches its
+   [machine]); the cap bounds a DSE sweep, whose runs (a few KB each)
+   are mostly distinct. *)
 let run_setup ctx (w : Workload.t) s =
-  Runner.run ~analysis:(analysis ctx w) ~table:(selection_table ctx w s) w s
+  let key = (w.Workload.name, Hashtbl.hash_param 256 256 s, s) in
+  Memo.find_or_compute ctx.runs key (fun () ->
+      Runner.run ~analysis:(analysis ctx w) ~table:(selection_table ctx w s) w s)
+
+let baseline_for ctx w machine =
+  run_setup ctx w { (Runner.setup Runner.Baseline) with Runner.machine }
+
+let baseline ctx w = baseline_for ctx w Mconfig.default
+let baseline_stats ctx w = (baseline ctx w).Runner.stats
 
 let speedup_of ctx w setup =
   let r = run_setup ctx w setup in
   Runner.speedup ~baseline:(baseline ctx w) r
+
+(* Like with like: against the no-PFU baseline on the setup's machine. *)
+let speedup_on_machine ctx w s =
+  let b = baseline_for ctx w s.Runner.machine in
+  Runner.speedup ~baseline:b (run_setup ctx w s)
 
 (* -------- fault-isolated fan-out over (workload x point) tasks -------- *)
 
@@ -503,17 +510,11 @@ let machine_sweep_result ?journal ctx =
     ]
   in
   sweep_partial ?journal ~id:"a5" ctx machines (fun w m ->
-      (* Compare like with like: the no-PFU baseline must run on the
-         same machine width. *)
-      let sel_setup =
+      speedup_on_machine ctx w
         {
           (Runner.setup ~n_pfus:(Some 4) Runner.Selective) with
           Runner.machine = m;
-        }
-      in
-      let b = baseline_for ctx w m in
-      let r = run_setup ctx w sel_setup in
-      Runner.speedup ~baseline:b r)
+        })
 
 let machine_sweep ctx = strict (machine_sweep_result ctx)
 
@@ -539,9 +540,7 @@ let branch_predictor_sweep_result ?journal ctx =
           Runner.machine;
         }
       in
-      let b = baseline_for ctx w machine in
-      let r = run_setup ctx w sel_setup in
-      Runner.speedup ~baseline:b r)
+      speedup_on_machine ctx w sel_setup)
 
 let branch_predictor_sweep ctx = strict (branch_predictor_sweep_result ctx)
 
@@ -587,10 +586,8 @@ let speculation_sweep_result ?journal ctx =
          greedy tables also pay for wrong-path reconfigurations, which
          is exactly the interaction this sweep is after. *)
       let machine = { Mconfig.default with Mconfig.bpred = bp } in
-      let s = { (Runner.setup ~n_pfus:(Some 2) m) with Runner.machine } in
-      let b = baseline_for ctx w machine in
-      let r = run_setup ctx w s in
-      Runner.speedup ~baseline:b r)
+      speedup_on_machine ctx w
+        { (Runner.setup ~n_pfus:(Some 2) m) with Runner.machine })
 
 let speculation_sweep ctx = strict (speculation_sweep_result ctx)
 

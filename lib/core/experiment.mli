@@ -5,9 +5,11 @@
 
 open T1000_workloads
 
-(** Per-suite memo of analyses, baseline runs and selection tables, so
-    a batch of experiments profiles and simulates each workload's
-    baseline once and selects each distinct table once.  All memo
+(** Per-suite memo of analyses, runs and selection tables, so a batch
+    of experiments profiles each workload once, selects each distinct
+    table once and simulates each distinct (workload, setup) once —
+    baselines included, and across figures: A1's 4-PFU point, F7 and
+    A6's single-cycle point are one run.  All memo
     tables are compute-once and domain-safe ({!Memo}): the sweep
     drivers below fan their (workload x configuration) points out over
     the {!Pool} worker pool ([T1000_NJOBS] workers) and still return
@@ -24,8 +26,9 @@ val baseline_stats : ctx -> Workload.t -> T1000_ooo.Stats.t
 
 val baseline_for :
   ctx -> Workload.t -> T1000_ooo.Mconfig.t -> Runner.run
-(** The workload's no-PFU baseline on an arbitrary base machine, cached
-    per (workload, machine) — what lets a machine-width axis (the A5
+(** The workload's no-PFU baseline on an arbitrary base machine:
+    {!run_setup} of the [Baseline] setup on that machine, so it is
+    cached per (workload, machine) — what lets a machine-width axis (the A5
     sweep, the {e lib/dse} width axis) compare every configured point
     against a baseline of the same width without re-simulating it per
     point.  {!baseline} is [baseline_for] at {!T1000_ooo.Mconfig.default}. *)
@@ -40,7 +43,14 @@ val selection_table :
     penalty sweep runs instruction selection once per workload. *)
 
 val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
-(** {!Runner.run} with the ctx's cached analysis and selection table. *)
+(** {!Runner.run} with the ctx's cached analysis and selection table,
+    itself cached per (workload, setup): a repeated call returns the
+    {e physically same} run without simulating again.  Sound because a
+    setup is plain data and every run is a pure function of the
+    workload and the setup.  The cache keeps the 1024 most recently
+    used runs (the paper suite needs about 350; a DSE sweep's points
+    are mostly distinct); an evicted run is simulated again, with the
+    same result. *)
 
 val speedup_of : ctx -> Workload.t -> Runner.setup -> float
 (** Speedup of [run_setup] over the workload's cached default-machine

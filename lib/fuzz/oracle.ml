@@ -90,7 +90,8 @@ let check (c : Gen.case) : (unit, failure) result =
     else
       let* () = front_end "baseline" baseline in
       let check_one name method_ =
-        let r = Runner.run ~analysis w (Gen.setup ~method_ c) in
+        let setup = Gen.setup ~method_ c in
+        let r = Runner.run ~analysis w setup in
         let steps1, out1 = interp_run w r.Runner.table r.Runner.program in
         if not (String.equal out0 out1) then
           fail name "state-divergence"
@@ -113,6 +114,22 @@ let check (c : Gen.case) : (unit, failure) result =
               committed steps1
           else
             let* () = front_end name r in
+            (* [Gen.setup] turns self-check on, which executes every
+               cycle and audits each span the dead-cycle skip would
+               elide; the skipping run must agree on every statistic. *)
+            let skipping =
+              Runner.run ~analysis ~table:r.Runner.table w
+                { setup with Runner.selfcheck = false }
+            in
+            let* () =
+              if skipping.Runner.stats = r.Runner.stats then Ok ()
+              else
+                fail name "skip"
+                  "statistics differ with dead-cycle skipping on (%d \
+                   cycles) and off (%d cycles)"
+                  skipping.Runner.stats.Stats.cycles
+                  r.Runner.stats.Stats.cycles
+            in
             let sp = Runner.speedup ~baseline r in
             if not (Float.is_finite sp && sp > 0.0) then
               fail name "speedup" "speedup %g is not finite and positive" sp

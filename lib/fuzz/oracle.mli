@@ -19,6 +19,9 @@
     - front end: every run squashes exactly once per misprediction,
       and under the [Perfect] predictor no run mispredicts, fetches
       down a wrong path or squashes anything;
+    - skip: each greedy and selective run, repeated with self-check
+      off (so the simulator skips dead cycles instead of executing and
+      auditing them), returns equal statistics;
     - the measured speedup is finite and positive.
 
     [T1000_FAULT_INJECT=fuzz-oracle] arms a deliberate off-by-one in

@@ -55,16 +55,14 @@ let next_rng t =
   t.rng <- x;
   x
 
-let request_unlimited t ~now ~conf =
-  match Hashtbl.find_opt t.unlimited conf with
-  | Some ready_at ->
-      t.hits <- t.hits + 1;
-      Ready { unit_id = conf; at = max now ready_at; hit = true }
-  | None ->
-      t.misses <- t.misses + 1;
-      let at = now + t.penalty in
-      Hashtbl.replace t.unlimited conf at;
-      Ready { unit_id = conf; at; hit = false }
+(* Unlimited mode: the unit is the configuration itself. *)
+let claim_unlimited t ~now ~conf =
+  if Hashtbl.mem t.unlimited conf then t.hits <- t.hits + 1
+  else begin
+    t.misses <- t.misses + 1;
+    Hashtbl.replace t.unlimited conf (now + t.penalty)
+  end;
+  conf
 
 let find_conf t conf =
   let n = Array.length t.units in
@@ -119,9 +117,9 @@ let pick_victim t =
           !v
         end
 
-let request t ~now ~conf =
-  if t.is_unlimited then request_unlimited t ~now ~conf
-  else if Array.length t.units = 0 then Stall
+let claim t ~now ~conf =
+  if t.is_unlimited then claim_unlimited t ~now ~conf
+  else if Array.length t.units = 0 then -1
   else begin
     let i = find_conf t conf in
     if i >= 0 then begin
@@ -129,13 +127,13 @@ let request t ~now ~conf =
       t.hits <- t.hits + 1;
       u.last_use <- now;
       u.pins <- u.pins + 1;
-      Ready { unit_id = i; at = max now u.ready_at; hit = true }
+      i
     end
     else begin
       match pick_victim t with
       | -1 ->
           t.stalls <- t.stalls + 1;
-          Stall
+          -1
       | v ->
           let u = t.units.(v) in
           t.misses <- t.misses + 1;
@@ -144,9 +142,21 @@ let request t ~now ~conf =
           u.last_use <- now;
           u.loaded_at <- now;
           u.pins <- 1;
-          Ready { unit_id = v; at = u.ready_at; hit = false }
+          v
     end
   end
+
+let ready_at t ~unit_id =
+  if t.is_unlimited then Hashtbl.find t.unlimited unit_id
+  else t.units.(unit_id).ready_at
+
+let request t ~now ~conf =
+  let hits = t.hits in
+  match claim t ~now ~conf with
+  | -1 -> Stall
+  | unit_id ->
+      Ready
+        { unit_id; at = max now (ready_at t ~unit_id); hit = t.hits > hits }
 
 let prefetch t ~now ~conf =
   if t.is_unlimited then begin
@@ -208,6 +218,7 @@ let selfcheck t =
     go 0
   end
 
+let charge_stalls t n = t.stalls <- t.stalls + n
 let hits t = t.hits
 let misses t = t.misses
 let prefetches t = t.prefetches

@@ -34,6 +34,14 @@ val request : t -> now:int -> conf:int -> outcome
 (** Decode-stage configuration check.  On [Ready] the unit's pin count
     is incremented. *)
 
+val claim : t -> now:int -> conf:int -> int
+(** {!request} without the allocation, for the simulator's dispatch
+    stage: the [Ready] unit id, or [-1] for [Stall].  The issue cycle
+    is then [max now (ready_at t ~unit_id)]. *)
+
+val ready_at : t -> unit_id:int -> int
+(** The cycle the unit's configuration is (or was) loaded. *)
+
 val release : t -> unit_id:int -> unit
 (** Called when the requesting instruction issues. *)
 
@@ -52,6 +60,12 @@ val reconfigs : t -> int
 (** Equal to [misses]: every tag miss loads a configuration. *)
 
 val stalls : t -> int
+val charge_stalls : t -> int -> unit
+(** Count [n] more dispatch stalls without retrying: what [n] repeats
+    of a {!request} that returns [Stall] would have counted.  A stalled
+    request changes nothing else, so the simulator's dead-cycle skip
+    charges a skipped span's retries in bulk. *)
+
 val pp_stats : Format.formatter -> t -> unit
 
 val selfcheck : t -> string option

@@ -284,6 +284,8 @@ let schedule t e ~now =
   if e.dep3 <> e.dep1 && e.dep3 <> e.dep2 then depend t e e.dep3;
   if e.pending = 0 then enqueue t e ~now
 
+let next_wake t = if t.h_len > 0 then t.h_at.(0) else max_int
+
 let wake t ~now =
   while t.h_len > 0 && t.h_at.(0) <= now do
     let ri = t.h_ri.(0) and id = t.h_id.(0) in

@@ -123,6 +123,12 @@ val wake : t -> now:int -> unit
 (** Move every entry whose ready cycle is [<= now] onto the ready
     list.  Call once at the start of each issue pass. *)
 
+val next_wake : t -> int
+(** The earliest ready cycle waiting in the heap, [max_int] when it is
+    empty: no entry joins the ready list before this cycle unless an
+    issue or a dispatch happens first.  The record may belong to a
+    squashed entry, so the bound is conservative, never late. *)
+
 val first_ready : t -> int
 (** Ring index of the oldest ready entry, -1 if none.  Walk on with
     [entry.next_ready]. *)

@@ -95,7 +95,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let q_class = Array.make q_cap F_ok in
   let q_head = ref 0 in
   let q_len = ref 0 in
+  (* Set by every event that makes a cycle live (DESIGN.md Section 5k):
+     a squash, commit, issue, dispatch, fetch-queue push, I-cache probe,
+     interpreter step or end of the wrong path.  A cycle without one is
+     quiet, and the cycles after it repeat it until the event horizon. *)
+  let live = ref false in
   let q_push slot addr cls =
+    live := true;
     let i = !q_head + !q_len in
     let i = if i >= q_cap then i - q_cap else i in
     q_slot.(i) <- slot;
@@ -113,6 +119,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     if !la_full then !la_slot
     else if !trace_done then -1
     else begin
+      live := true;
       let s = Interp.exec interp in
       if s < 0 then trace_done := true
       else begin
@@ -229,6 +236,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       else continue := false
     done;
     if !n > 0 then begin
+      live := true;
       last_commit := !now;
       if selfcheck then run_selfcheck ()
     end
@@ -315,6 +323,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       end;
       ri := e.Ruu.next_ready
     done;
+    if !issued > 0 then live := true;
     if selfcheck then violation "scheduler" (Ruu.audit_ready ruu ~now)
   in
 
@@ -337,6 +346,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
           e.Ruu.issued && e.Ruu.complete_at <= !now
         in
         if resolved then begin
+          live := true;
           let tail = Ruu.tail_seq ruu in
           (* un-issued wrong-path extended instructions still pin the
              PFU their decode-stage configuration check claimed *)
@@ -381,11 +391,12 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
            a [cfgld] hint is a best-effort prefetch that never stalls. *)
         let unit_id = ref (-1) and ready = ref 0 in
         if sl.Image.ext >= 0 then begin
-          match Pfu_file.request pfus ~now:!now ~conf:sl.Image.ext with
-          | Pfu_file.Stall -> continue := false
-          | Pfu_file.Ready { unit_id = u; at; hit = _ } ->
-              unit_id := u;
-              ready := at
+          let u = Pfu_file.claim pfus ~now:!now ~conf:sl.Image.ext in
+          if u < 0 then continue := false
+          else begin
+            unit_id := u;
+            ready := Int.max !now (Pfu_file.ready_at pfus ~unit_id:u)
+          end
         end
         else if sl.Image.cfgld >= 0 then
           Pfu_file.prefetch pfus ~now:!now ~conf:sl.Image.cfgld;
@@ -438,7 +449,8 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
           incr n
         end
       end
-    done
+    done;
+    if !n > 0 then live := true
   in
 
   (* Instruction-cache probe on entering a new line; [false] (and the
@@ -448,6 +460,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     let line = addr lsr line_shift in
     if line = !last_fetch_line then true
     else begin
+      live := true;
       let lat = Hierarchy.fetch_latency hier ~addr in
       last_fetch_line := line;
       if lat > l1_hit then begin
@@ -559,7 +572,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       && !q_len < ifq_size
     do
       let idx = !wp_index in
-      if idx < 0 || idx >= n_slots then wp_active := false
+      if idx < 0 || idx >= n_slots then begin
+        live := true;
+        wp_active := false
+      end
       else if not (fetch_line idx) then continue := false
       else begin
         let sl = slots.(idx) in
@@ -611,18 +627,102 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     | Some n -> n
     | None -> mconfig.Mconfig.max_cycles
   in
+  let progress_window = mconfig.Mconfig.progress_window in
+  (* --- Dead-cycle skipping (DESIGN.md Section 5k) ---
+     After a quiet cycle, every cycle before the event horizon repeats
+     it: same stalls, same occupancy, nothing moves.  The horizon is the
+     first cycle at which something can: an entry joins the ready list,
+     the head or the mispredicted branch completes, fetch resumes, or a
+     watchdog fires (clamped so [Sim_stuck] carries the same cycle and
+     snapshot). *)
+  let succ_sat x = if x = max_int then x else x + 1 in
+  let horizon () =
+    let h = Int.min (Ruu.next_wake ruu) (succ_sat max_cycles) in
+    let h =
+      if Ruu.is_empty ruu then h
+      else begin
+        let e = Ruu.get ruu (Ruu.head_seq ruu) in
+        let h = if e.Ruu.issued then Int.min h e.Ruu.complete_at else h in
+        Int.min h (succ_sat (!last_commit + progress_window))
+      end
+    in
+    let h =
+      match !pending with
+      | In_flight when Ruu.in_flight ruu !pending_seq ->
+          let e = Ruu.get ruu !pending_seq in
+          if e.Ruu.issued then Int.min h e.Ruu.complete_at else h
+      | In_flight | No_pending | In_ifq -> h
+    in
+    if !fetch_resume >= !now then Int.min h !fetch_resume else h
+  in
+  let skipped = ref 0 in
+  (* Self-check executes every cycle and audits the skip instead: the
+     cycles before [span_end] must repeat the quiet cycle that opened
+     the span, with these per-cycle counter deltas. *)
+  let span_end = ref (-1) in
+  let span_ruu_full = ref 0 and span_fetch_stall = ref 0 in
+  let span_pfu_stall = ref 0 and span_occupancy = ref 0 in
   while not (finished ()) do
     if !now > max_cycles then stuck `Cycle_budget max_cycles;
     if Ruu.is_empty ruu then last_commit := !now
-    else if !now - !last_commit > mconfig.Mconfig.progress_window then
-      stuck `No_commit mconfig.Mconfig.progress_window;
-    occupancy_sum := !occupancy_sum + Ruu.occupancy ruu;
+    else if !now - !last_commit > progress_window then
+      stuck `No_commit progress_window;
+    let occupancy = Ruu.occupancy ruu in
+    occupancy_sum := !occupancy_sum + occupancy;
+    let ruu_full0 = !ruu_full_stalls and fetch_stall0 = !fetch_stall_cycles in
+    let pfu_stall0 = Pfu_file.stalls pfus in
+    live := false;
     squash_stage ();
     commit_stage ();
     issue_stage ();
     dispatch_stage ();
     fetch_stage ();
-    incr now
+    incr now;
+    let quiet =
+      (not !live) && Ruu.first_ready ruu < 0 && not (finished ())
+    in
+    let d_ruu_full = !ruu_full_stalls - ruu_full0 in
+    let d_fetch_stall = !fetch_stall_cycles - fetch_stall0 in
+    let d_pfu_stall = Pfu_file.stalls pfus - pfu_stall0 in
+    if selfcheck && !now - 1 < !span_end then begin
+      if not quiet then
+        violation "dead-cycle skip"
+          (Some
+             (Printf.sprintf "live cycle inside the quiet span ending at %d"
+                !span_end))
+      else if
+        d_ruu_full <> !span_ruu_full
+        || d_fetch_stall <> !span_fetch_stall
+        || d_pfu_stall <> !span_pfu_stall
+        || occupancy <> !span_occupancy
+      then
+        violation "dead-cycle skip"
+          (Some "quiet cycle differs from the one that opened its span")
+      else if horizon () <> !span_end then
+        violation "dead-cycle skip" (Some "event horizon moved inside its span")
+    end
+    else if quiet then begin
+      let h = horizon () in
+      let k = h - !now in
+      if k > 0 then begin
+        skipped := !skipped + k;
+        if selfcheck then begin
+          span_end := h;
+          span_ruu_full := d_ruu_full;
+          span_fetch_stall := d_fetch_stall;
+          span_pfu_stall := d_pfu_stall;
+          span_occupancy := occupancy
+        end
+        else begin
+          ruu_full_stalls := !ruu_full_stalls + (k * d_ruu_full);
+          fetch_stall_cycles := !fetch_stall_cycles + (k * d_fetch_stall);
+          Pfu_file.charge_stalls pfus (k * d_pfu_stall);
+          occupancy_sum := !occupancy_sum + (k * occupancy);
+          if Ruu.is_empty ruu then last_commit := h - 1;
+          now := h
+        end
+      end
+    end
   done;
   let mr c = Cache.miss_rate c and tr t = Tlb.miss_rate t in
   let stats =
@@ -668,6 +768,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   m ~by:stats.Stats.ruu_full_stalls "sim.stall.ruu_full";
   m ~by:stats.Stats.fetch_stall_cycles "sim.stall.fetch_cycles";
   m ~by:stats.Stats.branch_mispredicts "sim.branch_mispredicts";
+  m ~by:!skipped "sim.skipped_cycles";
   (* speculation counters only exist under a real predictor, keeping
      perfect-mode telemetry unchanged *)
   if not perfect then begin

@@ -39,7 +39,11 @@
     The stages read a pre-decoded {!Image} of the program, built once
     per run, and issue is event driven ({!Ruu}): entries join a ready
     list when their last producer issues instead of being found by a
-    per-cycle window scan.  See DESIGN.md Section 5k. *)
+    per-cycle window scan.  After a cycle in which nothing happens, the
+    loop jumps straight to the next cycle at which something can,
+    adding the skipped cycles' stall counts and RUU occupancy in bulk;
+    the statistics are exactly those of executing every cycle.  See
+    DESIGN.md Section 5k. *)
 
 open T1000_isa
 open T1000_asm
@@ -103,8 +107,17 @@ val run :
     structural invariants after every committing cycle
     ({!Ruu.selfcheck}, {!Pfu_file.selfcheck}) and the issue
     scheduler's ready list at the start and end of every issue pass
-    ({!Ruu.audit_ready}), raising {!Selfcheck_violation} on the first
-    violation.  Statistics are unaffected.
+    ({!Ruu.audit_ready}), and executes every dead cycle instead of
+    skipping it, checking that each one repeats the quiet cycle that
+    opened its span until the predicted event horizon.  It raises
+    {!Selfcheck_violation} on the first violation.  Statistics are
+    unaffected.
+
+    Besides the statistics, a run adds to [Obs.Metrics] counters
+    ([sim.runs], [sim.cycles], stall and PFU counts, ...) and to
+    [sim.skipped_cycles]: the dead cycles elided by skipping, or under
+    self-check the cycles audited in their place, so the counter is the
+    same in both modes.
     @raise T1000_machine.Interp.Fault on architectural faults.
     @raise Sim_stuck when a watchdog fires.
     @raise Selfcheck_violation under [~selfcheck:true] on an invariant

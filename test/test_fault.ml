@@ -352,6 +352,66 @@ let test_watchdog_no_commit () =
         && s.Sim.head_slot = 1
         && s.Sim.head_instr = "ext#0 r9, r8, r0")
 
+(* The watchdogs must fire at the same cycle with the same snapshot
+   whether the dead cycles before them were skipped or executed one by
+   one (self-check mode executes every cycle).  One PFU with a
+   500-cycle reconfiguration: while the first configuration loads, the
+   second stalls dispatch on the pinned unit every cycle, so both
+   limits below fall inside one long quiet span. *)
+let thrash_mconfig = Mconfig.with_pfus ~penalty:500 (Some 1) Mconfig.default
+
+let thrash_program () =
+  build (fun b ->
+      Builder.li b R.t0 20;
+      Builder.label b "top";
+      Builder.ext b 0 R.t1 R.t0 R.zero;
+      Builder.ext b 1 R.t2 R.t0 R.zero;
+      Builder.addiu b R.t0 R.t0 (-1);
+      Builder.bgtz b R.t0 "top";
+      Builder.halt b)
+
+let stuck_at ~mconfig ~selfcheck =
+  match
+    Sim.run ~mconfig ~selfcheck
+      ~ext_eval:(fun _ v1 _ -> v1)
+      ~init:(fun _ _ -> ())
+      (thrash_program ())
+  with
+  | _ -> Alcotest.fail "expected Sim_stuck"
+  | exception Sim.Sim_stuck s -> s
+
+let pfu_stalls (s : Sim.stuck) =
+  Scanf.sscanf s.Sim.pfu "pfu: %d hits, %d misses/reconfigs, %d dispatch stalls"
+    (fun _ _ stalls -> stalls)
+
+let test_watchdog_budget_in_skipped_span () =
+  let stuck limit selfcheck =
+    with_env "T1000_MAX_CYCLES" (string_of_int limit) (fun () ->
+        stuck_at ~mconfig:thrash_mconfig ~selfcheck)
+  in
+  let skipping = stuck 300 false and audited = stuck 300 true in
+  check_bool "identical snapshot with and without skipping" true
+    (skipping = audited);
+  check_bool "budget fired on time" true
+    (skipping.Sim.reason = `Cycle_budget && skipping.Sim.cycle = 301);
+  (* one stalled retry per cycle between the two limits: every cycle
+     there is the same dead cycle *)
+  check_int "stall retries charged per skipped cycle" 50
+    (pfu_stalls skipping - pfu_stalls (stuck 250 false))
+
+let test_watchdog_progress_in_skipped_span () =
+  let stuck window selfcheck =
+    stuck_at ~selfcheck
+      ~mconfig:{ thrash_mconfig with Mconfig.progress_window = window }
+  in
+  let skipping = stuck 200 false and audited = stuck 200 true in
+  check_bool "identical snapshot with and without skipping" true
+    (skipping = audited);
+  check_bool "forward-progress check fired" true
+    (skipping.Sim.reason = `No_commit && skipping.Sim.limit = 200);
+  check_int "stall retries charged per skipped cycle" 100
+    (pfu_stalls skipping - pfu_stalls (stuck 100 false))
+
 (* ---------- self-check ---------- *)
 
 let test_selfcheck_clean_run () =
@@ -493,6 +553,10 @@ let () =
           Alcotest.test_case "T1000_MAX_CYCLES" `Quick
             test_watchdog_env_override;
           Alcotest.test_case "forward progress" `Quick test_watchdog_no_commit;
+          Alcotest.test_case "cycle budget inside a skipped span" `Quick
+            test_watchdog_budget_in_skipped_span;
+          Alcotest.test_case "forward progress inside a skipped span" `Quick
+            test_watchdog_progress_in_skipped_span;
         ] );
       ( "selfcheck",
         [

@@ -348,12 +348,61 @@ let test_sim_zero_latency_wakeup () =
   check_int "latency 0: consumer wakes in the same pass" 319 (cycles 0);
   check_int "latency 1" 515 (cycles 1)
 
+(* Greedy-style thrash on one PFU with a 500-cycle reconfiguration:
+   three configurations alternate in a loop, so each extended
+   instruction reloads the single unit while the next one stalls
+   dispatch on it.  Nearly every cycle is dead. *)
+let thrash_program iterations =
+  build (fun b ->
+      Builder.li b R.t0 iterations;
+      Builder.label b "top";
+      Builder.ext b 0 R.t1 R.t0 R.zero;
+      Builder.ext b 1 R.t2 R.t0 R.zero;
+      Builder.ext b 2 R.t3 R.t0 R.zero;
+      Builder.addiu b R.t0 R.t0 (-1);
+      Builder.bgtz b R.t0 "top";
+      Builder.halt b)
+
+let thrash_mconfig = Mconfig.with_pfus ~penalty:500 (Some 1) Mconfig.default
+let thrash_eval eid v1 _ = Word.add v1 eid
+
+let test_sim_dead_cycle_skip () =
+  (* Self-check executes every cycle and audits each skippable span;
+     the skipping run must return the same statistics, field for
+     field, under the perfect front end and a speculative one. *)
+  let p = thrash_program 30 in
+  List.iter
+    (fun bpred ->
+      let mconfig = { thrash_mconfig with Mconfig.bpred } in
+      let name = T1000_bpred.Predictor.spec_to_string bpred in
+      let sim selfcheck =
+        let before = T1000_obs.Metrics.get "sim.skipped_cycles" in
+        let s =
+          Sim.run ~mconfig ~ext_eval:thrash_eval ~selfcheck
+            ~init:(fun _ _ -> ())
+            p
+        in
+        (s, T1000_obs.Metrics.get "sim.skipped_cycles" - before)
+      in
+      let skipping, skipped = sim false in
+      let audited, audited_skipped = sim true in
+      check_bool (name ^ ": stats equal with and without skipping") true
+        (skipping = audited);
+      check_bool (name ^ ": the thrash stalls dispatch") true
+        (skipping.Stats.pfu_stalls > 0);
+      check_bool (name ^ ": most cycles skipped") true
+        (2 * skipped > skipping.Stats.cycles);
+      check_int (name ^ ": self-check counts the same spans") skipped
+        audited_skipped)
+    [ T1000_bpred.Predictor.Perfect; T1000_bpred.Predictor.Gshare 11 ]
+
 let test_sim_allocation_free () =
   (* The per-instruction and per-cycle work of [Sim.run] allocates
      nothing: minor words per committed instruction stay near zero on
      a loop of loads, stores, ALU ops and branches, under a real
      predictor too (fixed per-run set-up is amortised over ~20k
-     instructions). *)
+     instructions), and on the PFU thrash, whose cycles are mostly
+     skipped. *)
   let p =
     build (fun b ->
         Builder.li b R.t0 2000;
@@ -370,19 +419,25 @@ let test_sim_allocation_free () =
         Builder.bgtz b R.t0 "top";
         Builder.halt b)
   in
+  let thrash = thrash_program 2000 in
   List.iter
-    (fun bpred ->
-      let mconfig = { Mconfig.default with Mconfig.bpred } in
+    (fun (name, sim) ->
       let before = Gc.minor_words () in
-      let s = run ~mconfig p in
+      let s = sim () in
       let words = Gc.minor_words () -. before in
       let per_instr = words /. float_of_int s.Stats.committed in
       check_bool
-        (Printf.sprintf "%s: %.2f minor words per instruction"
-           (T1000_bpred.Predictor.spec_to_string bpred)
-           per_instr)
+        (Printf.sprintf "%s: %.2f minor words per instruction" name per_instr)
         true (per_instr < 2.0))
-    [ T1000_bpred.Predictor.Perfect; T1000_bpred.Predictor.Gshare 11 ]
+    (List.map
+       (fun bpred ->
+         ( T1000_bpred.Predictor.spec_to_string bpred,
+           fun () -> run ~mconfig:{ Mconfig.default with Mconfig.bpred } p ))
+       [ T1000_bpred.Predictor.Perfect; T1000_bpred.Predictor.Gshare 11 ]
+    @ [
+        ( "pfu thrash",
+          fun () -> run ~mconfig:thrash_mconfig ~ext_eval:thrash_eval thrash );
+      ])
 
 let test_sim_ruu_pressure () =
   (* a 4-entry RUU cannot overlap iterations like a 64-entry one *)
@@ -618,6 +673,7 @@ let () =
             test_sim_ext_latency_honoured;
           Alcotest.test_case "zero-latency wakeup" `Quick
             test_sim_zero_latency_wakeup;
+          Alcotest.test_case "dead-cycle skip" `Quick test_sim_dead_cycle_skip;
           Alcotest.test_case "allocation-free hot loop" `Quick
             test_sim_allocation_free;
           Alcotest.test_case "ruu pressure" `Quick test_sim_ruu_pressure;

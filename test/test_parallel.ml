@@ -1,6 +1,6 @@
 (* Tests for the parallel experiment engine: the Domain worker pool
    (ordering, exception propagation, T1000_NJOBS), the compute-once
-   memo table, the selection-table cache, and — the property everything
+   memo table, the selection-table and run caches, and — the property everything
    above exists to preserve — bit-identical experiment rows whether the
    sweeps run sequentially or fanned out over domains. *)
 
@@ -169,6 +169,32 @@ let test_selection_cache () =
   in
   check_bool "greedy table shared across pfu counts" true (g2 == g_unl)
 
+(* ---------- run cache ---------- *)
+
+let sim_calls () = T1000_obs.Metrics.get "phase.sim.calls"
+
+let test_run_cache () =
+  let w = workload "unepic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let s = Runner.setup ~n_pfus:(Some 2) ~penalty:50 Runner.Greedy in
+  let r1 = Experiment.run_setup ctx w s in
+  let calls = sim_calls () in
+  let r2 = Experiment.run_setup ctx w { s with Runner.penalty = 50 } in
+  check_bool "a repeated setup returns the physically same run" true (r1 == r2);
+  check_int "and simulates nothing" calls (sim_calls ());
+  (* Baselines are runs like any other: the default-machine baseline is
+     the Baseline setup's run. *)
+  check_bool "baseline is run_setup of the Baseline setup" true
+    (Experiment.baseline ctx w
+    == Experiment.run_setup ctx w (Runner.setup Runner.Baseline));
+  (* Figure 7 measures the 4-PFU selective machine that Figure 6 has
+     already simulated, so on a shared ctx it simulates nothing. *)
+  ignore (Experiment.figure6 ctx);
+  let calls = sim_calls () in
+  let f7 = Experiment.figure7 ctx in
+  ignore (Format.asprintf "%a" Report.pp_figure7 f7);
+  check_int "figure 7 after figure 6 adds no simulation" calls (sim_calls ())
+
 let () =
   Alcotest.run "t1000_parallel"
     [
@@ -191,5 +217,6 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "selection-table cache" `Slow
             test_selection_cache;
+          Alcotest.test_case "run cache" `Slow test_run_cache;
         ] );
     ]

@@ -1103,10 +1103,19 @@ let test_failover_spread_and_failover () =
    request. *)
 let test_failover_timeout_dedup () =
   with_server ~queue:16 ~njobs:1 @@ fun _srv addr ->
-  let fo = Client.Failover.create ~cycles:8 ~timeout_s:0.25 [ addr ] in
+  (* Time one cold slow request (its own salt, so nothing is cached for
+     the one below), then set the receive timeout to a third of that:
+     at least one receive times out and is re-sent before a reply
+     lands, however fast the simulator is. *)
+  let slow_s =
+    let c = connect_exn addr in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    ignore (request_exn c (sel ~kernel:(slow_asm ~salt:"dd-probe" ()) ()));
+    Unix.gettimeofday () -. t0
+  in
+  let fo = Client.Failover.create ~cycles:8 ~timeout_s:(slow_s /. 3.0) [ addr ] in
   Fun.protect ~finally:(fun () -> Client.Failover.close fo) @@ fun () ->
-  (* ~0.5 s of simulation vs a 0.25 s receive timeout: at least one
-     receive times out and is re-sent before a reply lands. *)
   (match Client.Failover.request fo (sel ~kernel:(slow_asm ~salt:"dd" ()) ()) with
   | Ok (`Outcome o) -> check_bool "slow outcome" true (o.Protocol.cycles > 0)
   | Ok _ -> Alcotest.fail "expected an outcome"
