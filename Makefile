@@ -64,3 +64,4 @@ ci:
 
 clean:
 	dune clean
+	rm -rf _build_dev

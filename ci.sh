@@ -10,8 +10,28 @@ set -eu
 echo "== build =="
 dune build
 
+echo "== build profile: release by default, lint as strict as dev =="
+# dune-workspace selects the release profile, so ocamlopt runs without
+# -opaque and inlines across modules; the root dune file restores the
+# dev warning set and strictness flags that release would drop.
+if dune rules _build/default/lib/ooo/.t1000_ooo.objs/native/t1000_ooo__Ruu.cmx \
+    | grep -q -e '-opaque'; then
+  echo "the default profile compiles with -opaque (no cross-module inlining)" >&2
+  exit 1
+fi
+dune printenv . | grep -q -e '-strict-sequence' || {
+  echo "the default profile lost the strict lint flags" >&2
+  exit 1
+}
+
 echo "== tests =="
 timeout 900 dune runtest
+
+echo "== tests: dev profile =="
+# The fast incremental-edit path stays green too, in its own build dir
+# so the release tree in _build is not rebuilt.
+dune build --profile dev --build-dir _build_dev
+timeout 900 dune runtest --profile dev --build-dir _build_dev
 
 echo "== fmt =="
 if command -v ocamlformat >/dev/null 2>&1; then

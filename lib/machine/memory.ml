@@ -5,7 +5,7 @@ let page_bytes = 1 lsl page_bits
 let page_mask = page_bytes - 1
 
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
+  pages : Bytes.t Int_tbl.t;
   (* The page of the last lookup that found one: accesses cluster, so
      most of them skip the hash table.  [last_key] is -1 when empty. *)
   mutable last_key : int;
@@ -13,13 +13,13 @@ type t = {
 }
 
 let create () =
-  { pages = Hashtbl.create 64; last_key = -1; last_page = Bytes.empty }
+  { pages = Int_tbl.create 64; last_key = -1; last_page = Bytes.empty }
 
 (* The allocated page holding key, or [Bytes.empty] if there is none. *)
 let find_page t key =
   if key = t.last_key then t.last_page
   else
-    match Hashtbl.find t.pages key with
+    match Int_tbl.find t.pages key with
     | p ->
         t.last_key <- key;
         t.last_page <- p;
@@ -32,7 +32,7 @@ let page_of t addr =
   if p != Bytes.empty then p
   else begin
     let p = Bytes.make page_bytes '\000' in
-    Hashtbl.add t.pages key p;
+    Int_tbl.add t.pages key p;
     p
   end
 
@@ -95,10 +95,10 @@ let store_word t addr v =
   end
 
 let clear t =
-  Hashtbl.reset t.pages;
+  Int_tbl.reset t.pages;
   t.last_key <- -1;
   t.last_page <- Bytes.empty
-let touched_pages t = Hashtbl.length t.pages
+let touched_pages t = Int_tbl.length t.pages
 
 let blit_words t addr ws =
   Array.iteri (fun i w -> store_word t (addr + (4 * i)) w) ws

@@ -1,3 +1,5 @@
+open T1000_machine
+
 type unit_state = {
   mutable conf : int;  (* -1 = empty *)
   mutable ready_at : int;
@@ -8,7 +10,7 @@ type unit_state = {
 
 type t = {
   units : unit_state array;  (* limited mode *)
-  unlimited : (int, int) Hashtbl.t;  (* conf -> ready_at *)
+  unlimited : int Int_tbl.t;  (* conf -> ready_at *)
   is_unlimited : bool;
   penalty : int;
   replacement : Mconfig.pfu_replacement;
@@ -27,7 +29,7 @@ let create ~n ~penalty ~replacement =
     units =
       Array.init n_units (fun _ ->
           { conf = -1; ready_at = 0; last_use = -1; loaded_at = -1; pins = 0 });
-    unlimited = Hashtbl.create 64;
+    unlimited = Int_tbl.create 64;
     is_unlimited;
     penalty;
     replacement;
@@ -57,10 +59,10 @@ let next_rng t =
 
 (* Unlimited mode: the unit is the configuration itself. *)
 let claim_unlimited t ~now ~conf =
-  if Hashtbl.mem t.unlimited conf then t.hits <- t.hits + 1
+  if Int_tbl.mem t.unlimited conf then t.hits <- t.hits + 1
   else begin
     t.misses <- t.misses + 1;
-    Hashtbl.replace t.unlimited conf (now + t.penalty)
+    Int_tbl.replace t.unlimited conf (now + t.penalty)
   end;
   conf
 
@@ -147,7 +149,7 @@ let claim t ~now ~conf =
   end
 
 let ready_at t ~unit_id =
-  if t.is_unlimited then Hashtbl.find t.unlimited unit_id
+  if t.is_unlimited then Int_tbl.find t.unlimited unit_id
   else t.units.(unit_id).ready_at
 
 let request t ~now ~conf =
@@ -160,9 +162,9 @@ let request t ~now ~conf =
 
 let prefetch t ~now ~conf =
   if t.is_unlimited then begin
-    if not (Hashtbl.mem t.unlimited conf) then begin
+    if not (Int_tbl.mem t.unlimited conf) then begin
       t.prefetches <- t.prefetches + 1;
-      Hashtbl.replace t.unlimited conf (now + t.penalty)
+      Int_tbl.replace t.unlimited conf (now + t.penalty)
     end
   end
   else if Array.length t.units > 0 && find_conf t conf < 0 then begin

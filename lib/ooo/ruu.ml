@@ -22,7 +22,10 @@ type entry = {
 
 type t = {
   ring : entry array;
-  size : int;
+      (* capacity [mask + 1]: [size] rounded up to a power of two, so a
+         seq's ring index is [seq land mask] rather than [seq mod size] *)
+  mask : int;
+  size : int;  (* the window: occupancy never exceeds it *)
   mutable head : int;  (* seq of oldest in-flight *)
   mutable tail : int;  (* seq of next dispatch *)
   mutable next_id : int;
@@ -81,10 +84,15 @@ let thread_free t from to_ =
 
 let create ~size =
   if size <= 0 then invalid_arg "Ruu.create: size <= 0";
+  let cap = ref 1 in
+  while !cap < size do
+    cap := 2 * !cap
+  done;
   let heap = 2 * size and nodes = 3 * size in
   let t =
     {
-      ring = Array.init size fresh_entry;
+      ring = Array.init !cap fresh_entry;
+      mask = !cap - 1;
       size;
       head = 0;
       tail = 0;
@@ -113,7 +121,7 @@ let tail_seq t = t.tail
 
 let push t =
   if is_full t then invalid_arg "Ruu.push: full";
-  let e = t.ring.(t.tail mod t.size) in
+  let e = t.ring.(t.tail land t.mask) in
   e.slot <- -1;
   e.mem_addr <- -1;
   e.eid <- -1;
@@ -138,16 +146,19 @@ let push t =
 
 let in_flight t seq = seq >= t.head && seq < t.tail
 
+(* Out of line, so that [get] stays small enough to inline. *)
+let not_in_flight seq =
+  invalid_arg (Printf.sprintf "Ruu.get: seq %d not in flight" seq)
+
 let get t seq =
-  if not (in_flight t seq) then
-    invalid_arg (Printf.sprintf "Ruu.get: seq %d not in flight" seq)
-  else t.ring.(seq mod t.size)
+  if not (in_flight t seq) then not_in_flight seq
+  else t.ring.(seq land t.mask)
 
 let at t ri = t.ring.(ri)
 
 let pop t =
   if is_empty t then invalid_arg "Ruu.pop: empty";
-  let e = t.ring.(t.head mod t.size) in
+  let e = t.ring.(t.head land t.mask) in
   t.head <- t.head + 1;
   e
 
@@ -263,7 +274,7 @@ let free_waiters t e =
 
 let depend t e seq =
   if seq >= 0 && in_flight t seq then begin
-    let p = t.ring.(seq mod t.size) in
+    let p = t.ring.(seq land t.mask) in
     if p.issued then begin
       if p.complete_at > e.ready_at then e.ready_at <- p.complete_at
     end
@@ -318,7 +329,7 @@ let truncate t ~tail =
       (Printf.sprintf "Ruu.truncate: tail %d outside [%d, %d]" tail t.head
          t.tail);
   for seq = tail to t.tail - 1 do
-    let e = t.ring.(seq mod t.size) in
+    let e = t.ring.(seq land t.mask) in
     if e.in_ready then unlink_ready t e;
     free_waiters t e;
     e.id <- -1
@@ -336,7 +347,7 @@ let scan_ready t e ~now =
     seq < 0
     || (not (in_flight t seq))
     ||
-    let p = t.ring.(seq mod t.size) in
+    let p = t.ring.(seq land t.mask) in
     p.issued && p.complete_at <= now
   in
   (not e.issued)
@@ -353,7 +364,7 @@ let audit_ready t ~now =
           (Printf.sprintf "ready list holds seq %d outside the window"
              t.ring.(ri).seq)
     else begin
-      let e = t.ring.(seq mod t.size) in
+      let e = t.ring.(seq land t.mask) in
       let listed = ri >= 0 && ri = e.ri in
       let expected = scan_ready t e ~now in
       if listed <> expected || listed <> e.in_ready then
@@ -380,11 +391,11 @@ let selfcheck t =
     let rec go seq =
       if seq >= t.tail then None
       else begin
-        let e = t.ring.(seq mod t.size) in
+        let e = t.ring.(seq land t.mask) in
         if e.seq <> seq then
           Some
             (Printf.sprintf "ring slot %d holds seq %d, expected %d"
-               (seq mod t.size) e.seq seq)
+               (seq land t.mask) e.seq seq)
         else if e.dep1 >= seq || e.dep2 >= seq || e.dep3 >= seq then
           Some
             (Printf.sprintf

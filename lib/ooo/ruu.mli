@@ -67,9 +67,15 @@ type entry = {
 type t
 
 val create : size:int -> t
-(** @raise Invalid_argument if [size <= 0]. *)
+(** A window of [size] entries.  The ring's capacity is [size] rounded
+    up to a power of two, so a sequence number's ring index is a mask
+    rather than a division.  [size] alone bounds the occupancy
+    ({!is_full}), so at most [size] slots are in use at once.
+    @raise Invalid_argument if [size <= 0]. *)
 
 val size : t -> int
+(** The [size] given to {!create}, not the rounded-up capacity. *)
+
 val occupancy : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool

@@ -56,14 +56,6 @@ let env_max_cycles () =
                              got %S"
                s))
 
-(* Memory disambiguation table, keyed by word index. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
 (* State of the single unresolved misprediction. *)
 type pending = No_pending | In_ifq | In_flight
 

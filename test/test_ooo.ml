@@ -137,6 +137,75 @@ let test_ruu_fields_reset () =
   check_int "dep reset" (-1) e2.Ruu.dep1;
   check_bool "issued reset" false e2.Ruu.issued
 
+(* Sizes that are not powers of two: the ring's capacity is rounded up,
+   but the window must still hold exactly [size] entries, and each seq
+   must map to its own entry across wrap-arounds. *)
+let test_ruu_odd_sizes () =
+  List.iter
+    (fun size ->
+      let r = Ruu.create ~size in
+      let name fmt = Printf.ksprintf (Printf.sprintf "size %d: %s" size) fmt in
+      let no_violation () =
+        match Ruu.selfcheck r with
+        | None -> ()
+        | Some msg -> Alcotest.failf "size %d: selfcheck: %s" size msg
+      in
+      let raises f =
+        match f () with exception Invalid_argument _ -> true | _ -> false
+      in
+      let fill () =
+        while not (Ruu.is_full r) do
+          ignore (Ruu.push r);
+          no_violation ()
+        done
+      in
+      fill ();
+      (* at least two full wrap-arounds of the window, and of the
+         rounded-up ring too *)
+      for round = 1 to 5 do
+        check_int (name "round %d: full at exactly size" round) size
+          (Ruu.occupancy r);
+        check_bool (name "round %d: push raises when full" round) true
+          (raises (fun () -> Ruu.push r));
+        for seq = Ruu.head_seq r to Ruu.tail_seq r - 1 do
+          check_int (name "get %d" seq) seq (Ruu.get r seq).Ruu.seq
+        done;
+        (* retire the whole window, one entry at a time *)
+        for _ = 1 to size do
+          let head = Ruu.head_seq r in
+          check_int (name "pop %d" head) head (Ruu.pop r).Ruu.seq;
+          check_bool (name "retired seq %d" head) true
+            (raises (fun () -> Ruu.get r head));
+          no_violation ()
+        done;
+        check_bool (name "round %d: empty" round) true (Ruu.is_empty r);
+        fill ()
+      done;
+      check_int (name "seqs issued") (6 * size) (Ruu.tail_seq r))
+    [ 3; 48 ]
+
+let test_sim_ruu_48_selfcheck () =
+  (* A window of 48 under a real predictor, so squashes truncate the
+     ring across its wrap points: the self-checked run (every cycle,
+     every RUU invariant) must agree with the plain one field for
+     field. *)
+  let w = Option.get (T1000_workloads.Registry.find "unepic") in
+  let mconfig =
+    {
+      Mconfig.default with
+      Mconfig.ruu_size = 48;
+      bpred = T1000_bpred.Predictor.Gshare 11;
+    }
+  in
+  let sim selfcheck =
+    Sim.run ~mconfig ~selfcheck ~init:w.T1000_workloads.Workload.init
+      w.T1000_workloads.Workload.program
+  in
+  let plain = sim false and audited = sim true in
+  check_bool "stats equal with and without selfcheck" true (plain = audited);
+  check_bool "the window fills" true (plain.Stats.ruu_full_stalls > 0);
+  check_bool "squashes happen" true (plain.Stats.branch_mispredicts > 0)
+
 (* ---------- Sim ---------- *)
 
 let build f =
@@ -656,6 +725,8 @@ let () =
         [
           Alcotest.test_case "ring" `Quick test_ruu_ring;
           Alcotest.test_case "field reset" `Quick test_ruu_fields_reset;
+          Alcotest.test_case "sizes not a power of two" `Quick
+            test_ruu_odd_sizes;
         ] );
       ( "sim",
         [
@@ -677,6 +748,8 @@ let () =
           Alcotest.test_case "allocation-free hot loop" `Quick
             test_sim_allocation_free;
           Alcotest.test_case "ruu pressure" `Quick test_sim_ruu_pressure;
+          Alcotest.test_case "odd ruu size under selfcheck" `Quick
+            test_sim_ruu_48_selfcheck;
           Alcotest.test_case "branch prediction" `Quick
             test_sim_branch_prediction;
           Alcotest.test_case "btb indirect" `Quick test_sim_btb_indirect;
