@@ -17,11 +17,22 @@ fmt:
 	  echo "fmt: ocamlformat not installed, skipping"; \
 	fi
 
-# Cheap end-to-end smoke of the experiment engine: Figure 2 on a
-# reduced workload set, sequentially and on 4 workers.
+# Cheap end-to-end smoke of the experiment engine on the golden suite:
+# Figure 2 on 1 and 4 workers, then every artifact id, each diffed
+# against its test/golden rendering (the same commands as ci.sh).
+GOLDEN_IDS = f2 t41 f6 s52 f7 a1 a2 a3 a4 a5 a6 a7 a8 a9
+EXPERIMENT = T1000_WORKLOADS=unepic,g721_dec dune exec bin/t1000_cli.exe -- experiment
+
 smoke:
-	T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=1 dune exec bench/main.exe -- f2
-	T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=4 dune exec bench/main.exe -- f2
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(EXPERIMENT) -j 1 f2 > "$$d/f2_seq.out"; \
+	$(EXPERIMENT) -j 4 f2 > "$$d/f2_par.out"; \
+	diff "$$d/f2_seq.out" "$$d/f2_par.out"; \
+	{ cat test/golden/f2.txt; echo; } | diff - "$$d/f2_seq.out"; \
+	$(EXPERIMENT) $(GOLDEN_IDS) > "$$d/all.out"; \
+	for id in $(GOLDEN_IDS); do cat "test/golden/$$id.txt"; echo; done \
+	  | diff - "$$d/all.out"; \
+	echo "smoke: experiment output matches test/golden"
 
 # Differential fuzzing of the whole extraction/selection/simulation
 # pipeline against the reference interpreter, plus checkpoint
@@ -41,11 +52,11 @@ speed:
 dse:
 	dune exec bin/t1000_cli.exe -- dse --budget 24 --json DSE.json
 
-# Load benchmark of the selection-as-a-service daemon: throughput and
-# latency percentiles at 1/8/64 concurrent clients plus a deliberate
-# overload leg (queue depth 1); writes BENCH_serve.json.
+# One pass of the benchmark's serve workload: a daemon under 2
+# closed-loop clients with a fixed request mix; the last line is the
+# JSON result ("correct", "failed", latency percentiles).
 serve-bench:
-	dune exec bench/main.exe -- serve
+	dune exec bench/suite/t1000_bench.exe -- once --workload serve --seconds 1 --trace 0
 
 # Re-record the golden artifact snapshots under test/golden/ after an
 # intentional model or rendering change.

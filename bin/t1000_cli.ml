@@ -45,7 +45,8 @@ let validate_env () =
     ignore (T1000.Memo.env_cap ());
     ignore (T1000_serve.Supervisor.env_replicas ());
     ignore (T1000_serve.Supervisor.env_restarts ());
-    ignore (T1000_serve.Supervisor.env_health_ms ())
+    ignore (T1000_serve.Supervisor.env_health_ms ());
+    Result.iter_error invalid_arg (T1000_workloads.Registry.of_env ())
   with
   | Invalid_argument msg ->
       Format.eprintf "t1000_cli: %s@." msg;
@@ -77,30 +78,8 @@ let setup_trace = function
           Format.eprintf "t1000_cli: trace written to %s@." path)
 
 (* The suite the experiment engine runs on: all workloads, or the
-   T1000_WORKLOADS comma-separated subset (same convention as bench). *)
-let suite_workloads () =
-  match Sys.getenv_opt "T1000_WORKLOADS" with
-  | None -> T1000_workloads.Registry.all
-  | Some s ->
-      let names =
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun n -> n <> "")
-      in
-      if names = [] then T1000_workloads.Registry.all
-      else
-        List.map
-          (fun n ->
-            match T1000_workloads.Registry.find n with
-            | Some w -> w
-            | None ->
-                Format.eprintf
-                  "t1000_cli: unknown workload %S in T1000_WORKLOADS \
-                   (known: %s)@."
-                  n
-                  (String.concat ", " T1000_workloads.Registry.names);
-                exit 2)
-          names
+   T1000_WORKLOADS subset, which validate_env has already checked. *)
+let suite_workloads () = Result.get_ok (T1000_workloads.Registry.of_env ())
 
 let find_workload name =
   match T1000_workloads.Registry.find name with
@@ -449,44 +428,27 @@ let dot_cmd =
 
 let experiment_cmd =
   let run jobs resume selfcheck bpred trace ids =
+    (match
+       List.filter (fun id -> not (List.mem id T1000.Report.artifact_ids)) ids
+     with
+    | [] -> ()
+    | unknown ->
+        Format.eprintf "t1000_cli: unknown experiment %s (known: %s)@."
+          (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+          (String.concat " " T1000.Report.artifact_ids);
+        exit 2);
     setup_trace trace;
     apply_bpred bpred;
     apply_jobs jobs;
     if selfcheck then Unix.putenv "T1000_SELFCHECK" "1";
     let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
     let faults = ref [] in
-    let collect : type row. row T1000.Experiment.partial -> row list =
-     fun p ->
-      faults := !faults @ p.T1000.Experiment.faults;
-      p.T1000.Experiment.rows
-    in
     let dispatch id =
       (* one journal file per experiment id *)
       let journal = open_journal ~resume ~run:id in
-      match id with
-      | "f2" ->
-          Format.printf "%a@." T1000.Report.pp_figure2
-            (collect (T1000.Experiment.figure2_result ?journal ctx))
-      | "t41" ->
-          Format.printf "%a@." T1000.Report.pp_table41
-            (collect (T1000.Experiment.table41_result ?journal ctx))
-      | "f6" ->
-          Format.printf "%a@." T1000.Report.pp_figure6
-            (collect (T1000.Experiment.figure6_result ?journal ctx))
-      | "s52" ->
-          Format.printf "%a@." T1000.Report.pp_penalty_sweep
-            (collect (T1000.Experiment.penalty_sweep_result ?journal ctx))
-      | "f7" ->
-          let r, fs = T1000.Experiment.figure7_result ?journal ctx in
-          faults := !faults @ fs;
-          Format.printf "%a@." T1000.Report.pp_figure7 r
-      | other -> (
-          match T1000.Experiment.ablation_result ?journal ctx other with
-          | Some p ->
-              Format.printf "%a@."
-                (T1000.Report.pp_sweep ~title:("Ablation " ^ other))
-                (collect p)
-          | None -> Format.eprintf "unknown experiment %S@." other)
+      let text, fs = Option.get (T1000.Report.render ?journal ctx id) in
+      faults := !faults @ fs;
+      Format.printf "%s@." text
     in
     with_faults (fun () -> List.iter dispatch ids);
     match !faults with

@@ -40,17 +40,39 @@ else
   echo "ocamlformat not installed, skipping"
 fi
 
-echo "== smoke: figure 2 on a reduced suite, sequential and parallel =="
-T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=1 timeout 900 dune exec bench/main.exe -- f2
-T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=4 timeout 900 dune exec bench/main.exe -- f2
+CKPT_DIR=$(mktemp -d)
+trap 'rm -rf "$CKPT_DIR"' EXIT
+
+echo "== smoke: experiment stdout is the golden renderings =="
+# On the golden suite, `experiment ID` prints test/golden/ID.txt plus a
+# newline: f2 the same on 1 and 4 workers, and all 14 artifact ids in
+# one run, in paper order.
+GOLDEN_IDS="f2 t41 f6 s52 f7 a1 a2 a3 a4 a5 a6 a7 a8 a9"
+T1000_WORKLOADS=unepic,g721_dec \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment -j 1 f2 > "$CKPT_DIR/f2_seq.out"
+T1000_WORKLOADS=unepic,g721_dec \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment -j 4 f2 > "$CKPT_DIR/f2_par.out"
+diff "$CKPT_DIR/f2_seq.out" "$CKPT_DIR/f2_par.out" || {
+  echo "experiment f2 differs between -j 1 and -j 4" >&2
+  exit 1
+}
+{ cat test/golden/f2.txt; echo; } | diff - "$CKPT_DIR/f2_seq.out" || {
+  echo "experiment f2 differs from test/golden/f2.txt" >&2
+  exit 1
+}
+T1000_WORKLOADS=unepic,g721_dec \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment $GOLDEN_IDS > "$CKPT_DIR/all.out"
+for id in $GOLDEN_IDS; do cat "test/golden/$id.txt"; echo; done \
+  | diff - "$CKPT_DIR/all.out" || {
+  echo "experiment output differs from the concatenated goldens" >&2
+  exit 1
+}
 
 echo "== smoke: fault isolation + checkpoint resume =="
 # A penalty sweep where one workload faults mid-sweep must still emit
 # the other workload's rows, report the fault, and exit 3; re-running
 # with --resume against the journal must complete and reproduce the
 # clean run's stdout byte for byte.
-CKPT_DIR=$(mktemp -d)
-trap 'rm -rf "$CKPT_DIR"' EXIT
 CLEAN_OUT="$CKPT_DIR/clean.out"
 FAULT_OUT="$CKPT_DIR/faulted.out"
 RESUMED_OUT="$CKPT_DIR/resumed.out"
@@ -276,11 +298,11 @@ echo "== serve: byte-stable replies, graceful drain, shedding, chaos =="
 # a queue-depth-1 daemon sheds with typed replies instead of blocking,
 # a chaos-soaked session answers every request, a supervised 3-replica
 # tier survives kill -9 under load with byte-identical replies and
-# drains on SIGTERM, and the load benchmark writes BENCH_serve.json.
+# drains on SIGTERM, and one pass of the benchmark's serve workload
+# completes with every reply correct.
 # The daemon binary is invoked directly (not via dune exec) so signals
 # land on the daemon itself.
 SERVE_DIR=$(mktemp -d)
-SERVE_ROOT=$(pwd)
 SERVE_CLI=_build/default/bin/t1000_cli.exe
 
 # SIGTERM a daemon and wait for the graceful drain, but bounded: a
@@ -544,23 +566,17 @@ for i in 0 1 2; do
   }
 done
 
-echo "== serve: load benchmark writes BENCH_serve.json =="
-(cd "$SERVE_DIR" && T1000_SERVE_BENCH_REQUESTS=2 \
-  timeout 900 "$SERVE_ROOT/_build/default/bench/main.exe" serve)
-grep -q '"overload"' "$SERVE_DIR/BENCH_serve.json" || {
-  echo "BENCH_serve.json missing its overload leg" >&2
-  exit 1
-}
-grep -q '"shed_rate"' "$SERVE_DIR/BENCH_serve.json" || {
-  echo "BENCH_serve.json missing the shed rate" >&2
-  exit 1
-}
-grep -q '"supervised"' "$SERVE_DIR/BENCH_serve.json" || {
-  echo "BENCH_serve.json missing the supervised leg" >&2
-  exit 1
-}
-grep -q '"restarts"' "$SERVE_DIR/BENCH_serve.json" || {
-  echo "BENCH_serve.json missing the supervised restart count" >&2
+echo "== serve: one pass of the benchmark's serve workload =="
+# A serve daemon under closed-loop clients with the benchmark's fixed
+# request mix: every reply must match and no request may fail.  The
+# overload and kill -9 legs are the shed storm and crash drill above.
+SERVE_BENCH_OUT="$SERVE_DIR/bench_serve.out"
+timeout 900 dune exec bench/suite/t1000_bench.exe -- \
+  once --workload serve --seconds 1 --trace 0 > "$SERVE_BENCH_OUT"
+tail -n 1 "$SERVE_BENCH_OUT" | grep -q '"correct":true' \
+  && tail -n 1 "$SERVE_BENCH_OUT" | grep -q '"failed":0' || {
+  echo "serve workload: a reply differed or a request failed" >&2
+  tail -n 1 "$SERVE_BENCH_OUT" >&2
   exit 1
 }
 rm -rf "$SERVE_DIR"

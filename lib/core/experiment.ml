@@ -590,16 +590,3 @@ let speculation_sweep_result ?journal ctx =
         { (Runner.setup ~n_pfus:(Some 2) m) with Runner.machine })
 
 let speculation_sweep ctx = strict (speculation_sweep_result ctx)
-
-let ablation_result ?journal ctx id =
-  match id with
-  | "a1" -> Some (pfu_count_sweep_result ?journal ctx)
-  | "a2" -> Some (width_threshold_sweep_result ?journal ctx)
-  | "a3" -> Some (gain_threshold_sweep_result ?journal ctx)
-  | "a4" -> Some (replacement_sweep_result ?journal ctx)
-  | "a5" -> Some (machine_sweep_result ?journal ctx)
-  | "a6" -> Some (latency_model_sweep_result ?journal ctx)
-  | "a7" -> Some (branch_predictor_sweep_result ?journal ctx)
-  | "a8" -> Some (prefetch_sweep_result ?journal ctx)
-  | "a9" -> Some (speculation_sweep_result ?journal ctx)
-  | _ -> None

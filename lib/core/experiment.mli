@@ -124,7 +124,7 @@ type sweep_row = {
 }
 
 val pfu_count_sweep : ?counts:int list -> ctx -> sweep_row list
-(** A1: selective speedup vs number of PFUs (default 1,2,3,4,6,8). *)
+(** A1: selective speedup vs PFU count (default 1,2,3,4,6,8). *)
 
 val width_threshold_sweep : ?widths:int list -> ctx -> sweep_row list
 (** A2: greedy-unlimited speedup vs candidate bitwidth threshold
@@ -211,7 +211,25 @@ val figure7_result :
     succeeded; faulted workloads are simply absent from [f7_costs] and
     the histogram. *)
 
-val ablation_result :
-  ?journal:Checkpoint.t -> ctx -> string -> sweep_row partial option
-(** The fault-isolated twin of the A1-A9 ablation sweeps, dispatched on
-    the ablation id (["a1"] .. ["a9"]); [None] for an unknown id. *)
+val pfu_count_sweep_result :
+  ?journal:Checkpoint.t -> ?counts:int list -> ctx -> sweep_row partial
+
+val width_threshold_sweep_result :
+  ?journal:Checkpoint.t -> ?widths:int list -> ctx -> sweep_row partial
+
+val gain_threshold_sweep_result :
+  ?journal:Checkpoint.t -> ?thresholds:float list -> ctx -> sweep_row partial
+
+val replacement_sweep_result : ?journal:Checkpoint.t -> ctx -> sweep_row partial
+val machine_sweep_result : ?journal:Checkpoint.t -> ctx -> sweep_row partial
+
+val latency_model_sweep_result :
+  ?journal:Checkpoint.t -> ctx -> sweep_row partial
+
+val branch_predictor_sweep_result :
+  ?journal:Checkpoint.t -> ctx -> sweep_row partial
+
+val prefetch_sweep_result :
+  ?journal:Checkpoint.t -> ?penalties:int list -> ctx -> sweep_row partial
+
+val speculation_sweep_result : ?journal:Checkpoint.t -> ctx -> sweep_row partial

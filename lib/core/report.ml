@@ -171,3 +171,68 @@ let pp_faults ppf (faults : Experiment.point_fault list) =
         f.Experiment.fault_point Fault.pp f.Experiment.fault)
     faults;
   Format.fprintf ppf "@]"
+
+(* -------- The artifact table -------- *)
+
+(* Each paper artifact and ablation: its id, its fault-isolated driver
+   and its rendering, in paper order.  The ablation titles are the
+   golden ones. *)
+let artifacts =
+  let rows pp (p : _ Experiment.partial) =
+    (Format.asprintf "%a" pp p.Experiment.rows, p.Experiment.faults)
+  in
+  let sweep title = rows (pp_sweep ~title) in
+  Experiment.
+    [
+      ("f2", fun journal c -> rows pp_figure2 (figure2_result ?journal c));
+      ("t41", fun journal c -> rows pp_table41 (table41_result ?journal c));
+      ("f6", fun journal c -> rows pp_figure6 (figure6_result ?journal c));
+      ( "s52",
+        fun journal c -> rows pp_penalty_sweep (penalty_sweep_result ?journal c)
+      );
+      ( "f7",
+        fun journal c ->
+          let r, faults = figure7_result ?journal c in
+          (Format.asprintf "%a" pp_figure7 r, faults) );
+      ( "a1",
+        fun journal c ->
+          sweep "selective speedup vs number of PFUs"
+            (pfu_count_sweep_result ?journal c) );
+      ( "a2",
+        fun journal c ->
+          sweep "greedy-unlimited speedup vs width threshold"
+            (width_threshold_sweep_result ?journal c) );
+      ( "a3",
+        fun journal c ->
+          sweep "selective speedup vs gain-ratio threshold"
+            (gain_threshold_sweep_result ?journal c) );
+      ( "a4",
+        fun journal c ->
+          sweep "selective speedup vs replacement policy"
+            (replacement_sweep_result ?journal c) );
+      ( "a5",
+        fun journal c ->
+          sweep "speedup vs machine width (per-width baseline)"
+            (machine_sweep_result ?journal c) );
+      ( "a6",
+        fun journal c ->
+          sweep "speedup: single-cycle PFU vs LUT-level delay model"
+            (latency_model_sweep_result ?journal c) );
+      ( "a7",
+        fun journal c ->
+          sweep "speedup: perfect vs bimodal branch prediction"
+            (branch_predictor_sweep_result ?journal c) );
+      ( "a8",
+        fun journal c ->
+          sweep "speedup with/without cfgld preheader prefetch hints"
+            (prefetch_sweep_result ?journal c) );
+      ( "a9",
+        fun journal c ->
+          sweep "greedy vs selective speedup per front-end branch predictor"
+            (speculation_sweep_result ?journal c) );
+    ]
+
+let artifact_ids = List.map fst artifacts
+
+let render ?journal ctx id =
+  Option.map (fun f -> f journal ctx) (List.assoc_opt id artifacts)

@@ -18,3 +18,20 @@ val pp_faults : Format.formatter -> Experiment.point_fault list -> unit
 (** The structured fault report a partial driver result carries: a
     header with the failed-point count, then one line per fault
     ([workload/point: description]). *)
+
+(** {1 The artifact table} *)
+
+val artifact_ids : string list
+(** Every paper artifact and ablation, in paper order: [f2 t41 f6 s52
+    f7] (Figures 2, 6 and 7, the Section 4.1 table, the Section 5.2
+    penalty sweep) then the ablations [a1] .. [a9]. *)
+
+val render :
+  ?journal:Checkpoint.t ->
+  Experiment.ctx ->
+  string ->
+  (string * Experiment.point_fault list) option
+(** [render ctx id] runs the artifact's fault-isolated ([*_result])
+    driver and renders it: the text (ending in a newline) and the
+    faulted points, whose workloads' rows are withheld from the text.
+    [None] for an id not in {!artifact_ids}. *)

@@ -7,3 +7,12 @@ val all : Workload.t list
 
 val find : string -> Workload.t option
 val names : string list
+
+val of_spec : string option -> (Workload.t list, string) result
+(** The suite a [T1000_WORKLOADS] value names: comma-separated workload
+    names, in the listed order.  [None], an empty or an all-blank value
+    is the full suite ({!all}).  [Error] names the first unknown
+    workload and lists the known ones. *)
+
+val of_env : unit -> (Workload.t list, string) result
+(** {!of_spec} of the [T1000_WORKLOADS] environment variable. *)

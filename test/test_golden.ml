@@ -1,6 +1,9 @@
 (* Golden-artifact regression suite: the rendered text of every paper
    figure/table and DESIGN.md ablation, snapshotted under test/golden/
-   and byte-diffed on every `dune runtest`.
+   and byte-diffed on every `dune runtest`.  The renderings come from
+   Report's artifact table, the one `t1000_cli experiment ID` prints
+   (its stdout is test/golden/ID.txt plus a newline); the DSE frontier
+   is the one entry local to this file.
 
    The experiment engine is deterministic, so any diff is a real
    behavior change — either a bug or an intentional model change.  To
@@ -15,8 +18,6 @@
 
 open T1000
 
-let golden_workloads = [ "unepic"; "g721_dec" ]
-
 let golden_dir =
   match Sys.getenv_opt "T1000_GOLDEN_DIR" with
   | Some d when String.trim d <> "" -> d
@@ -29,91 +30,31 @@ let promote () =
 
 let ctx =
   lazy
-    (Experiment.create_ctx
-       ~workloads:
-         (List.map
-            (fun n ->
-              match T1000_workloads.Registry.find n with
-              | Some w -> w
-              | None -> Alcotest.failf "golden workload %s missing" n)
-            golden_workloads)
-       ())
+    (match T1000_workloads.Registry.of_spec (Some "unepic,g721_dec") with
+    | Ok workloads -> Experiment.create_ctx ~workloads ()
+    | Error e -> Alcotest.fail e)
 
-(* Exactly the renderings bench/main.exe prints (minus the banner), so
-   the snapshots double as a regression net for the bench output. *)
+(* A faulted point withholds its workload's row, so a rendering with
+   faults is never a golden one. *)
+let render id c =
+  match Option.get (Report.render c id) with
+  | text, [] -> text
+  | _, faults -> Alcotest.failf "%s faulted:@\n%a" id Report.pp_faults faults
+
 let artifacts : (string * (Experiment.ctx -> string)) list =
-  [
-    ("f2", fun c -> Format.asprintf "%a" Report.pp_figure2 (Experiment.figure2 c));
-    ( "t41",
-      fun c -> Format.asprintf "%a" Report.pp_table41 (Experiment.table41 c) );
-    ("f6", fun c -> Format.asprintf "%a" Report.pp_figure6 (Experiment.figure6 c));
-    ( "s52",
-      fun c ->
-        Format.asprintf "%a" Report.pp_penalty_sweep (Experiment.penalty_sweep c)
-    );
-    ("f7", fun c -> Format.asprintf "%a" Report.pp_figure7 (Experiment.figure7 c));
-    ( "a1",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"selective speedup vs number of PFUs")
-          (Experiment.pfu_count_sweep c) );
-    ( "a2",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"greedy-unlimited speedup vs width threshold")
-          (Experiment.width_threshold_sweep c) );
-    ( "a3",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"selective speedup vs gain-ratio threshold")
-          (Experiment.gain_threshold_sweep c) );
-    ( "a4",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"selective speedup vs replacement policy")
-          (Experiment.replacement_sweep c) );
-    ( "a5",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup vs machine width (per-width baseline)")
-          (Experiment.machine_sweep c) );
-    ( "a6",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup: single-cycle PFU vs LUT-level delay model")
-          (Experiment.latency_model_sweep c) );
-    ( "a7",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup: perfect vs bimodal branch prediction")
-          (Experiment.branch_predictor_sweep c) );
-    ( "a8",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup with/without cfgld preheader prefetch hints")
-          (Experiment.prefetch_sweep c) );
-    ( "a9",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:
-               "greedy vs selective speedup per front-end branch predictor")
-          (Experiment.speculation_sweep c) );
-    ( "dse",
-      fun c ->
-        Format.asprintf "%a" T1000_dse.Engine.pp_frontier
-          (T1000_dse.Engine.explore ~budget:12 c
-             (match
-                T1000_dse.Space.of_spec
-                  "pfus=1,2,4:penalty=0,100,500:lut=150:repl=lru:gain=0.005:width=4"
-              with
-             | Ok s -> s
-             | Error e -> Alcotest.failf "golden dse space: %s" e)) );
-  ]
+  List.map (fun id -> (id, render id)) Report.artifact_ids
+  @ [
+      ( "dse",
+        fun c ->
+          Format.asprintf "%a" T1000_dse.Engine.pp_frontier
+            (T1000_dse.Engine.explore ~budget:12 c
+               (match
+                  T1000_dse.Space.of_spec
+                    "pfus=1,2,4:penalty=0,100,500:lut=150:repl=lru:gain=0.005:width=4"
+                with
+               | Ok s -> s
+               | Error e -> Alcotest.failf "golden dse space: %s" e)) );
+    ]
 
 let read_file path =
   let ic = open_in_bin path in

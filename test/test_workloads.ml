@@ -32,6 +32,28 @@ let test_registry () =
     ]
     Registry.names
 
+(* The T1000_WORKLOADS parser the CLI and bench/main.exe share. *)
+let test_of_spec () =
+  let check msg want spec =
+    Alcotest.(check (result (list string) string))
+      msg want
+      (Result.map
+         (List.map (fun (w : Workload.t) -> w.Workload.name))
+         (Registry.of_spec spec))
+  in
+  List.iter
+    (fun spec -> check "full suite" (Ok Registry.names) spec)
+    [ None; Some ""; Some "  "; Some " , ,\t" ];
+  check "listed order, blanks trimmed"
+    (Ok [ "g721_dec"; "unepic"; "epic" ])
+    (Some " g721_dec,unepic , ,epic");
+  check "unknown names the workload"
+    (Error
+       ("unknown workload \"bogus\" in T1000_WORKLOADS (known: "
+       ^ String.concat ", " Registry.names
+       ^ ")"))
+    (Some "unepic,bogus,epic")
+
 let test_runs_to_completion (w : Workload.t) () =
   let steps, out = functional_output w T1000_select.Extinstr.empty w.Workload.program in
   check_bool "executes a realistic trace" true (steps > 50_000);
@@ -130,7 +152,11 @@ let per_workload name f =
 let () =
   Alcotest.run "t1000_workloads"
     [
-      ("registry", [ Alcotest.test_case "contents" `Quick test_registry ]);
+      ( "registry",
+        [
+          Alcotest.test_case "contents" `Quick test_registry;
+          Alcotest.test_case "T1000_WORKLOADS" `Quick test_of_spec;
+        ] );
       ("completion", per_workload "runs" test_runs_to_completion);
       ("determinism", per_workload "same" test_deterministic);
       ("reference", per_workload "output" test_reference_is_original_output);
