@@ -221,6 +221,22 @@ diff "$CKPT_DIR/bpred_a9.out" "$CKPT_DIR/bpred_a9_audited.out" || {
   exit 1
 }
 
+echo "== bpred: experiment speedups are against a same-predictor baseline =="
+# Under --bpred the figure drivers compare each PFU run with a no-PFU
+# baseline on the same speculative front end: f6's g721_dec 2-PFU cell
+# must equal the speedup `run` reports for that setup (flag ->
+# T1000_BPRED -> Runner.setup, the path README advertises).
+F6_CELL=$(T1000_WORKLOADS=g721_dec \
+  timeout 900 dune exec bin/t1000_cli.exe -- \
+  experiment f6 -j 1 --bpred gshare@11 | awk '$1 == "g721_dec" && $2 == "1.000" { print $3 }')
+RUN_SPEEDUP=$(T1000_WORKLOADS=g721_dec \
+  timeout 900 dune exec bin/t1000_cli.exe -- \
+  run g721_dec -m selective -p 2 -r 10 --bpred gshare@11 | awk '$1 == "speedup:" { print $2 }')
+if [ -z "$F6_CELL" ] || [ "$F6_CELL" != "$RUN_SPEEDUP" ]; then
+  echo "f6 2-PFU cell under --bpred ($F6_CELL) differs from run's speedup ($RUN_SPEEDUP)" >&2
+  exit 1
+fi
+
 echo "== bpred: pinned front-end statistics on every kernel =="
 # One pass of the benchmark's kernels matrix (8 kernels x 3 setups x
 # perfect/bimodal@11/gshare@11) must reproduce all 72 pinned statistics

@@ -63,17 +63,12 @@ let run_setup ctx (w : Workload.t) s =
 let baseline_for ctx w machine =
   run_setup ctx w { (Runner.setup Runner.Baseline) with Runner.machine }
 
-let baseline ctx w = baseline_for ctx w Mconfig.default
-let baseline_stats ctx w = (baseline ctx w).Runner.stats
-
-let speedup_of ctx w setup =
-  let r = run_setup ctx w setup in
-  Runner.speedup ~baseline:(baseline ctx w) r
-
-(* Like with like: against the no-PFU baseline on the setup's machine. *)
-let speedup_on_machine ctx w s =
-  let b = baseline_for ctx w s.Runner.machine in
-  Runner.speedup ~baseline:b (run_setup ctx w s)
+(* Like with like: against the no-PFU baseline on the setup's own
+   machine, so a speculative front end (T1000_BPRED, a DSE width axis)
+   is compared with a baseline that speculates the same way. *)
+let speedup_of ctx w s =
+  let r = run_setup ctx w s in
+  Runner.speedup ~baseline:(baseline_for ctx w s.Runner.machine) r
 
 (* -------- fault-isolated fan-out over (workload x point) tasks -------- *)
 
@@ -85,23 +80,6 @@ type point_fault = {
 
 type 'row partial = { rows : 'row list; faults : point_fault list }
 
-let chunk n xs =
-  let rec take k xs acc =
-    if k = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> invalid_arg "Experiment.chunk"
-      | x :: tl -> take (k - 1) tl (x :: acc)
-  in
-  let rec go xs acc =
-    match xs with
-    | [] -> List.rev acc
-    | _ ->
-        let c, rest = take n xs [] in
-        go rest (c :: acc)
-  in
-  go xs []
-
 (* Test hook: T1000_FAULT_INJECT names one workload whose every task
    raises Fault.Injected before evaluating, so the fault-isolation and
    checkpoint-resume paths can be exercised end to end from the CLI and
@@ -112,100 +90,99 @@ let fault_inject_target () =
   | Some s when String.trim s = "" -> None
   | Some s -> Some (String.trim s)
 
-(* Evaluate [eval w p] for every workload of the suite and every point,
-   fanned out over the worker pool as independent (workload x point)
-   tasks, and regroup into one per-workload row in suite order.  A task
-   that raises poisons only its own workload's row: the row is dropped
-   and each failing point becomes a [point_fault]; every other row is
-   still returned.  Determinism: every task is a pure function of
-   (w, p) — the shared memo tables only change *when* a value is
-   computed, never what it is — so the rows are identical at any worker
-   count.
+(* The one (workload x point) fan-out (see the .mli).  Determinism:
+   every task is a pure function of (w, p) — the shared memo tables only
+   change *when* a value is computed, never what it is — and marshalled
+   journal values round-trip exactly, so the cells are identical at any
+   worker count and on resume. *)
+let fan_out ?journal ?(on_cached = ignore) ~id ~label ctx points eval =
+  let inject = fault_inject_target () in
+  let key ((w : Workload.t), p) =
+    Printf.sprintf "%s/%s/%s" id w.Workload.name (label p)
+  in
+  let eval_task (((w : Workload.t), p) as t) =
+    (match inject with
+    | Some name when name = w.Workload.name ->
+        raise
+          (Fault.Error
+             (Fault.Injected
+                (Printf.sprintf "T1000_FAULT_INJECT=%s hit point %s" name
+                   (key t))))
+    | Some _ | None -> ());
+    eval w p
+  in
+  let tasks =
+    List.concat_map (fun w -> List.map (fun p -> (w, p)) points) ctx.suite
+  in
+  (* Journal hits are served as they are; only the rest reach the pool. *)
+  let found =
+    List.map
+      (fun t ->
+        match Option.bind journal (Checkpoint.find ~key:(key t)) with
+        | Some v ->
+            on_cached ();
+            Either.Left v
+        | None -> Either.Right t)
+      tasks
+  in
+  let todo = Array.of_list (List.filter_map Either.find_right found) in
+  let fresh =
+    Array.of_list
+      (Pool.parallel_map_result
+         ?on_result:
+           (Option.map
+              (fun j k r ->
+                Result.iter (Checkpoint.record j ~key:(key todo.(k))) r)
+              journal)
+         eval_task (Array.to_list todo))
+  in
+  let next = ref (-1) in
+  let results =
+    Array.of_list
+      (List.map
+         (function
+           | Either.Left v -> Ok v
+           | Either.Right _ ->
+               incr next;
+               fresh.(!next))
+         found)
+  in
+  let n = List.length points in
+  let cells =
+    List.mapi
+      (fun i w -> (w, List.mapi (fun k _ -> results.((i * n) + k)) points))
+      ctx.suite
+  in
+  let faults =
+    List.concat_map
+      (fun ((w : Workload.t), rs) ->
+        List.combine points rs
+        |> List.filter_map (function
+             | _, Ok _ -> None
+             | p, Error fault ->
+                 Some
+                   {
+                     fault_workload = w.Workload.name;
+                     fault_point = label p;
+                     fault;
+                   }))
+      cells
+  in
+  (cells, faults)
 
-   With [?journal], completed point values are recorded (keyed on
-   [id/workload/label]) as they arrive, previously recorded points are
-   served from the journal without recomputation, and — because
-   marshalled OCaml values round-trip exactly — a resumed run's rows
-   are byte-identical to an uninterrupted one. *)
+(* The drivers' view of [fan_out]: a workload's row survives only if
+   every one of its points succeeded. *)
 let map_partial ?journal ~id ~label ctx points eval =
-  match points with
-  | [] -> (List.map (fun w -> (w, [])) ctx.suite, [])
-  | _ ->
-      T1000_obs.Tracer.with_span ~cat:"experiment" ("experiment." ^ id)
-      @@ fun () ->
-      T1000_obs.Metrics.time ("experiment." ^ id)
-      @@ fun () ->
-      let inject = fault_inject_target () in
-      let tasks =
-        List.concat_map (fun w -> List.map (fun p -> (w, p)) points) ctx.suite
-      in
-      let key ((w : Workload.t), p) =
-        Printf.sprintf "%s/%s/%s" id w.Workload.name (label p)
-      in
-      let eval_task ((w : Workload.t), p) =
-        (match inject with
-        | Some name when name = w.Workload.name ->
-            raise
-              (Fault.Error
-                 (Fault.Injected
-                    (Printf.sprintf "T1000_FAULT_INJECT=%s hit point %s" name
-                       (key (w, p)))))
-        | Some _ | None -> ());
-        eval w p
-      in
-      let results =
-        match journal with
-        | None -> Pool.parallel_map_result eval_task tasks
-        | Some j ->
-            let task_arr = Array.of_list tasks in
-            let out = Array.make (Array.length task_arr) None in
-            let todo = ref [] in
-            Array.iteri
-              (fun i t ->
-                match Checkpoint.find j ~key:(key t) with
-                | Some v -> out.(i) <- Some (Ok v)
-                | None -> todo := i :: !todo)
-              task_arr;
-            let todo = Array.of_list (List.rev !todo) in
-            Pool.parallel_map_result
-              ~on_result:(fun k r ->
-                match r with
-                | Ok v -> Checkpoint.record j ~key:(key task_arr.(todo.(k))) v
-                | Error _ -> ())
-              (fun i -> eval_task task_arr.(i))
-              (Array.to_list todo)
-            |> List.iteri (fun k r -> out.(todo.(k)) <- Some r);
-            Array.to_list
-              (Array.map
-                 (function Some r -> r | None -> assert false)
-                 out)
-      in
-      let grouped = List.combine ctx.suite (chunk (List.length points) results) in
-      let faults = ref [] in
-      let rows =
-        List.filter_map
-          (fun ((w : Workload.t), rs) ->
-            if List.for_all Result.is_ok rs then
-              Some (w, List.map Result.get_ok rs)
-            else begin
-              List.iter2
-                (fun p r ->
-                  match r with
-                  | Ok _ -> ()
-                  | Error fault ->
-                      faults :=
-                        {
-                          fault_workload = w.Workload.name;
-                          fault_point = label p;
-                          fault;
-                        }
-                        :: !faults)
-                points rs;
-              None
-            end)
-          grouped
-      in
-      (rows, List.rev !faults)
+  T1000_obs.Tracer.with_span ~cat:"experiment" ("experiment." ^ id)
+  @@ fun () ->
+  T1000_obs.Metrics.time ("experiment." ^ id) @@ fun () ->
+  let cells, faults = fan_out ?journal ~id ~label ctx points eval in
+  ( List.filter_map
+      (fun (w, rs) ->
+        if List.for_all Result.is_ok rs then Some (w, List.map Result.get_ok rs)
+        else None)
+      cells,
+    faults )
 
 (* Strict facade over a partial result: the historical drivers abort on
    the first fault, as they did when any task exception escaped. *)
@@ -510,7 +487,7 @@ let machine_sweep_result ?journal ctx =
     ]
   in
   sweep_partial ?journal ~id:"a5" ctx machines (fun w m ->
-      speedup_on_machine ctx w
+      speedup_of ctx w
         {
           (Runner.setup ~n_pfus:(Some 4) Runner.Selective) with
           Runner.machine = m;
@@ -540,7 +517,7 @@ let branch_predictor_sweep_result ?journal ctx =
           Runner.machine;
         }
       in
-      speedup_on_machine ctx w sel_setup)
+      speedup_of ctx w sel_setup)
 
 let branch_predictor_sweep ctx = strict (branch_predictor_sweep_result ctx)
 
@@ -586,7 +563,7 @@ let speculation_sweep_result ?journal ctx =
          greedy tables also pay for wrong-path reconfigurations, which
          is exactly the interaction this sweep is after. *)
       let machine = { Mconfig.default with Mconfig.bpred = bp } in
-      speedup_on_machine ctx w
+      speedup_of ctx w
         { (Runner.setup ~n_pfus:(Some 2) m) with Runner.machine })
 
 let speculation_sweep ctx = strict (speculation_sweep_result ctx)

@@ -21,17 +21,14 @@ val create_ctx : ?workloads:Workload.t list -> unit -> ctx
 
 val workloads : ctx -> Workload.t list
 val analysis : ctx -> Workload.t -> Runner.analysis
-val baseline : ctx -> Workload.t -> Runner.run
-val baseline_stats : ctx -> Workload.t -> T1000_ooo.Stats.t
-
 val baseline_for :
   ctx -> Workload.t -> T1000_ooo.Mconfig.t -> Runner.run
 (** The workload's no-PFU baseline on an arbitrary base machine:
     {!run_setup} of the [Baseline] setup on that machine, so it is
-    cached per (workload, machine) — what lets a machine-width axis (the A5
-    sweep, the {e lib/dse} width axis) compare every configured point
-    against a baseline of the same width without re-simulating it per
-    point.  {!baseline} is [baseline_for] at {!T1000_ooo.Mconfig.default}. *)
+    cached per (workload, machine) — what lets every configured point
+    (a predictor under [T1000_BPRED], the A5 width sweep, the
+    {e lib/dse} width axis) be compared against a baseline of the same
+    machine without re-simulating it per point. *)
 
 val selection_table :
   ctx -> Workload.t -> Runner.setup -> T1000_select.Extinstr.t
@@ -53,8 +50,10 @@ val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
     same result. *)
 
 val speedup_of : ctx -> Workload.t -> Runner.setup -> float
-(** Speedup of [run_setup] over the workload's cached default-machine
-    baseline. *)
+(** Speedup of [run_setup] over {!baseline_for} the setup's own
+    machine: like with like, so under [T1000_BPRED] (or any other
+    machine change) the no-PFU baseline runs the same machine.  Every
+    driver below and the {e lib/dse} engine score points with it. *)
 
 (** {1 Figure 2 — greedy selection} *)
 
@@ -192,6 +191,30 @@ type point_fault = {
   fault_point : string;  (** the point's label within its sweep *)
   fault : Fault.t;
 }
+
+val fan_out :
+  ?journal:Checkpoint.t ->
+  ?on_cached:(unit -> unit) ->
+  id:string ->
+  label:('p -> string) ->
+  ctx ->
+  'p list ->
+  (Workload.t -> 'p -> 'v) ->
+  (Workload.t * ('v, Fault.t) result list) list * point_fault list
+(** The one (workload x point) fan-out every sweep runs through: the
+    [*_result] drivers below and the {e lib/dse} engine's waves.
+    Evaluates [eval w p] for every workload of the ctx and every point
+    as independent tasks on the {!Pool} ([T1000_NJOBS] workers) and
+    returns each workload's outcomes in point order, in suite order,
+    plus one {!point_fault} per task that raised (same order).  A
+    raising task never aborts the others.  The [T1000_FAULT_INJECT]
+    hook applies here.
+
+    With [?journal], each successful value is recorded under the key
+    [id/workload/label] as it completes, and a task whose key is
+    already recorded is served from the journal without running
+    [eval] ([?on_cached] is called once per such task).  The values
+    are identical at any worker count and on resume. *)
 
 (** Rows for every workload whose points all succeeded, plus one
     {!point_fault} per failed (workload x point) task, in suite

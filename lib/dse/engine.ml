@@ -18,12 +18,12 @@ type result = {
   faults : T1000.Experiment.point_fault list;
 }
 
-(* One (point, workload) task: the workload's speedup under the point's
-   setup (against the machine-width-matched baseline) and the LUT area
-   of the workload's selected instruction table.  Pure given (p, w) —
-   the ctx memo tables only change *when* values are computed, never
-   what they are — which is what makes fan-out order irrelevant and the
-   journal value stable across resumes. *)
+(* One (point, workload) task: the workload's like-with-like speedup
+   under the point's setup and the LUT area of the workload's selected
+   instruction table.  Pure given (p, w) — the ctx memo tables only
+   change *when* values are computed, never what they are — which is
+   what makes fan-out order irrelevant and the journal value stable
+   across resumes. *)
 let eval_task ctx p (w : Workload.t) =
   let s = Space.setup p in
   let table = T1000.Experiment.selection_table ctx w s in
@@ -33,9 +33,7 @@ let eval_task ctx p (w : Workload.t) =
       0
       (T1000_select.Extinstr.entries table)
   in
-  let r = T1000.Experiment.run_setup ctx w s in
-  let b = T1000.Experiment.baseline_for ctx w s.T1000.Runner.machine in
-  (T1000.Runner.speedup ~baseline:b r, area)
+  (T1000.Experiment.speedup_of ctx w s, area)
 
 let combine p per =
   let n = List.length per in
@@ -60,111 +58,31 @@ let eval_point ctx p =
   in
   combine p per
 
-(* Same test hook as the Experiment drivers: T1000_FAULT_INJECT names a
-   workload whose every task raises instead of simulating. *)
-let fault_inject_target () =
-  match Sys.getenv_opt "T1000_FAULT_INJECT" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> Some (String.trim s)
-
-let journal_key p (w : Workload.t) =
-  Printf.sprintf "dse/%s/%s" (Space.key p) w.Workload.name
-
-(* Evaluate one wave of points: fan (point x workload) tasks over the
-   pool, journal completions, regroup per point.  Returns, in wave
-   order, each point's measurement ([None] when any of its workloads
-   faulted) plus the per-task faults. *)
+(* Evaluate one wave of points through the Experiment fan-out (which
+   owns fault injection, journaling and the pool) and regroup per point.
+   Returns, in wave order, each point's measurement ([None] when any of
+   its workloads faulted) plus the per-task faults. *)
 let evaluate_wave ?journal ctx wave =
   T1000_obs.Tracer.with_span ~cat:"dse" "dse.wave" @@ fun () ->
-  let suite = T1000.Experiment.workloads ctx in
-  let inject = fault_inject_target () in
-  let tasks =
-    List.concat_map (fun p -> List.map (fun w -> (p, w)) suite) wave
+  let cells, faults =
+    T1000.Experiment.fan_out ?journal
+      ~on_cached:(fun () -> T1000_obs.Metrics.incr "dse.cached")
+      ~id:"dse" ~label:Space.key ctx wave
+      (fun w p ->
+        T1000_obs.Metrics.incr "dse.sim_tasks";
+        eval_task ctx p w)
   in
-  let eval (p, (w : Workload.t)) =
-    (match inject with
-    | Some name when name = w.Workload.name ->
-        raise
-          (T1000.Fault.Error
-             (T1000.Fault.Injected
-                (Printf.sprintf "T1000_FAULT_INJECT=%s hit point %s" name
-                   (journal_key p w))))
-    | Some _ | None -> ());
-    T1000_obs.Metrics.incr "dse.sim_tasks";
-    eval_task ctx p w
+  let measure j p =
+    let per =
+      List.map
+        (fun ((w : Workload.t), rs) -> (w.Workload.name, List.nth rs j))
+        cells
+    in
+    if List.for_all (fun (_, r) -> Result.is_ok r) per then
+      Some (combine p (List.map (fun (n, r) -> (n, Result.get_ok r)) per))
+    else None
   in
-  let results =
-    match journal with
-    | None -> T1000.Pool.parallel_map_result eval tasks
-    | Some j ->
-        let task_arr = Array.of_list tasks in
-        let out = Array.make (Array.length task_arr) None in
-        let todo = ref [] in
-        Array.iteri
-          (fun i t ->
-            match T1000.Checkpoint.find j ~key:(journal_key (fst t) (snd t)) with
-            | Some v ->
-                T1000_obs.Metrics.incr "dse.cached";
-                out.(i) <- Some (Ok v)
-            | None -> todo := i :: !todo)
-          task_arr;
-        let todo = Array.of_list (List.rev !todo) in
-        T1000.Pool.parallel_map_result
-          ~on_result:(fun k r ->
-            match r with
-            | Ok v ->
-                let p, w = task_arr.(todo.(k)) in
-                T1000.Checkpoint.record j ~key:(journal_key p w) v
-            | Error _ -> ())
-          (fun i -> eval task_arr.(i))
-          (Array.to_list todo)
-        |> List.iteri (fun k r -> out.(todo.(k)) <- Some r);
-        Array.to_list
-          (Array.map (function Some r -> r | None -> assert false) out)
-  in
-  let n_wl = List.length suite in
-  let rec chunk acc rs =
-    match rs with
-    | [] -> List.rev acc
-    | _ ->
-        let rec take k rs acc' =
-          if k = 0 then (List.rev acc', rs)
-          else
-            match rs with
-            | r :: tl -> take (k - 1) tl (r :: acc')
-            | [] -> assert false
-        in
-        let c, rest = take n_wl rs [] in
-        chunk (c :: acc) rest
-  in
-  let grouped = List.combine wave (chunk [] results) in
-  let faults = ref [] in
-  let out =
-    List.map
-      (fun (p, rs) ->
-        if List.for_all Result.is_ok rs then
-          (p, Some (combine p (List.map2 (fun (w : Workload.t) r ->
-               (w.Workload.name, Result.get_ok r)) suite rs)))
-        else begin
-          List.iter2
-            (fun (w : Workload.t) r ->
-              match r with
-              | Ok _ -> ()
-              | Error fault ->
-                  faults :=
-                    {
-                      T1000.Experiment.fault_workload = w.Workload.name;
-                      fault_point = Space.key p;
-                      fault;
-                    }
-                    :: !faults)
-            suite rs;
-          (p, None)
-        end)
-      grouped
-  in
-  (out, List.rev !faults)
+  (List.mapi (fun j p -> (p, measure j p)) wave, faults)
 
 let default_budget = 64
 
@@ -387,11 +305,7 @@ let to_json r =
         ("penalty", Num (float_of_int m.point.Space.penalty));
         ("lut_budget", Num (float_of_int m.point.Space.lut_budget));
         ( "replacement",
-          Str
-            (match m.point.Space.replacement with
-            | T1000_ooo.Mconfig.Lru -> "lru"
-            | T1000_ooo.Mconfig.Fifo -> "fifo"
-            | T1000_ooo.Mconfig.Random_det -> "rand") );
+          Str (Space.repl_to_string m.point.Space.replacement) );
         ("gain", Num m.point.Space.gain);
         ("width", Num (float_of_int m.point.Space.width));
         ( "bpred",
@@ -425,12 +339,7 @@ let to_json r =
             ( "repl",
               List
                 (List.map
-                   (fun rp ->
-                     Str
-                       (match rp with
-                       | T1000_ooo.Mconfig.Lru -> "lru"
-                       | T1000_ooo.Mconfig.Fifo -> "fifo"
-                       | T1000_ooo.Mconfig.Random_det -> "rand"))
+                   (fun rp -> Str (Space.repl_to_string rp))
                    r.space.Space.ax_replacements) );
             ("gain", List (List.map (fun v -> Num v) r.space.Space.ax_gains));
             ( "width",

@@ -23,15 +23,19 @@
     frontier is exactly the one exhaustive enumeration finds (the
     property suite asserts this).
 
-    {b Determinism and resume.}  Waves are fanned out over
-    {!T1000.Pool.parallel_map_result} and reassembled in input order;
-    every decision (wave make-up, pruning, refinement proposals) is
-    plain code over the measured values in canonical {!Space} order, so
-    the result — and the rendered frontier — is byte-identical at any
-    [T1000_NJOBS].  With [?journal], each (point, workload) measurement
-    is recorded in the {!T1000.Checkpoint} journal as it completes and
-    served from it on re-run, so a killed exploration resumes
-    byte-identically.
+    {b Determinism and resume.}  Each wave runs through
+    {!T1000.Experiment.fan_out} — the experiment drivers' own
+    fault-isolated, journaled (workload x point) fan-out, with id
+    ["dse"] and {!Space.key} as the point label — and is regrouped per
+    point; every decision (wave make-up, pruning, refinement proposals)
+    is plain code over the measured values in canonical {!Space} order,
+    so the result — and the rendered frontier — is byte-identical at
+    any [T1000_NJOBS].  With [?journal], each (point, workload)
+    measurement is recorded in the {!T1000.Checkpoint} journal under
+    [dse/<workload>/<point key>] as it completes and served from it on
+    re-run, so a killed exploration resumes byte-identically.  A point's
+    speedups are {!T1000.Experiment.speedup_of}: each against the
+    no-PFU baseline on the point's own machine (width and predictor).
 
     Telemetry: [dse.simulated] counts points whose evaluation was
     requested, [dse.pruned] points skipped by dominance pruning,

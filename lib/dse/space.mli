@@ -79,6 +79,10 @@ val initial_stride : t -> int
 (** Starting stride for successive-halving refinement:
     [max 1 ((longest_axis - 1) / 4)]. *)
 
+val repl_to_string : T1000_ooo.Mconfig.pfu_replacement -> string
+(** ["lru"], ["fifo"] or ["rand"]: the spelling {!key}, [--axes] and
+    the JSON report use. *)
+
 val key : point -> string
 (** Stable identifier, e.g. ["p2.pen10.lut150.lru.g0.005.w4"] — used as
     the checkpoint-journal key component, the fault-report point label

@@ -12,13 +12,15 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let with_njobs v f =
-  let saved = Sys.getenv_opt "T1000_NJOBS" in
-  Unix.putenv "T1000_NJOBS" v;
+let with_env var v f =
+  let saved = Sys.getenv_opt var in
+  Unix.putenv var v;
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "T1000_NJOBS" (match saved with Some s -> s | None -> ""))
+      Unix.putenv var (match saved with Some s -> s | None -> ""))
     f
+
+let with_njobs v f = with_env "T1000_NJOBS" v f
 
 (* Tiny deterministic loop kernels from the fuzz generator: fast enough
    to sweep a grid in a unit test, real enough to exercise the whole
@@ -270,6 +272,66 @@ let test_journal_resume () =
   check_int "resumed run simulates nothing" 0 (counter snap "dse.sim_tasks");
   check_bool "resumed run is journal-fed" true (counter snap "dse.cached" > 0)
 
+(* A faulting workload poisons only its own (point, workload) cells:
+   every point is reported faulted, the other workload's cells still
+   land in the journal, and a resume simulates exactly the missing
+   cells and reproduces a clean run's frontier.  One penalty per group,
+   so no pruning decision depends on which cells arrived. *)
+let test_fault_isolation_resume () =
+  let workload name = Option.get (T1000_workloads.Registry.find name) in
+  let fresh_ctx () =
+    Experiment.create_ctx
+      ~workloads:[ workload "unepic"; workload "g721_dec" ]
+      ()
+  in
+  let space = { toy_space with T1000_dse.Space.ax_penalties = [ 10 ] } in
+  let explore ?journal () =
+    T1000_dse.Engine.explore ?journal ~budget:(T1000_dse.Space.size space)
+      ~sample:`Full (fresh_ctx ()) space
+  in
+  let dir = Filename.temp_file "t1000_dse_fault" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let clean = explore () in
+  let points = T1000_dse.Space.enumerate space in
+  with_env "T1000_FAULT_INJECT" "g721_dec" (fun () ->
+      let journal = Checkpoint.create ~fresh:true ~dir ~run:"dse" () in
+      let r = explore ~journal () in
+      check_int "nothing measured" 0 (List.length r.T1000_dse.Engine.measured);
+      check_string "every point faulted"
+        (String.concat "|" (List.map T1000_dse.Space.key points))
+        (String.concat "|"
+           (List.map T1000_dse.Space.key r.T1000_dse.Engine.faulted));
+      let sorted ks = String.concat "|" (List.sort compare ks) in
+      check_string "one fault per point, named by its key"
+        (sorted (List.map T1000_dse.Space.key points))
+        (sorted
+           (List.map
+              (fun (f : Experiment.point_fault) -> f.Experiment.fault_point)
+              r.T1000_dse.Engine.faults));
+      List.iter
+        (fun (f : Experiment.point_fault) ->
+          check_string "fault names the workload" "g721_dec"
+            f.Experiment.fault_workload)
+        r.T1000_dse.Engine.faults;
+      check_int "journal holds only the unepic cells" (List.length points)
+        (Checkpoint.completed journal);
+      List.iter
+        (fun p ->
+          check_bool "unepic cell journaled" true
+            (Checkpoint.mem journal
+               ~key:("dse/unepic/" ^ T1000_dse.Space.key p)))
+        points);
+  let before = Obs.Metrics.get "dse.sim_tasks" in
+  let resumed =
+    explore ~journal:(Checkpoint.create ~dir ~run:"dse" ()) ()
+  in
+  check_string "resumed frontier = clean frontier"
+    (Format.asprintf "%a" T1000_dse.Engine.pp_frontier clean)
+    (Format.asprintf "%a" T1000_dse.Engine.pp_frontier resumed);
+  check_int "resume simulates only the g721_dec cells" (List.length points)
+    (Obs.Metrics.get "dse.sim_tasks" - before)
+
 (* The engine agrees point-for-point with the hand-rolled Runner sweep
    the design_space example used to be: same speedups, same frontier. *)
 let test_example_agreement () =
@@ -359,6 +421,8 @@ let () =
           Alcotest.test_case "njobs determinism" `Slow test_njobs_identical;
           Alcotest.test_case "budget" `Slow test_budget;
           Alcotest.test_case "journal resume" `Slow test_journal_resume;
+          Alcotest.test_case "fault isolation + resume" `Slow
+            test_fault_isolation_resume;
           Alcotest.test_case "example agreement" `Slow test_example_agreement;
         ] );
     ]

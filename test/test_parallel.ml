@@ -10,14 +10,15 @@ open T1000_workloads
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let with_njobs v f =
-  let saved = Sys.getenv_opt "T1000_NJOBS" in
-  Unix.putenv "T1000_NJOBS" v;
+let with_env var v f =
+  let saved = Sys.getenv_opt var in
+  Unix.putenv var v;
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "T1000_NJOBS"
-        (match saved with Some s -> s | None -> ""))
+      Unix.putenv var (match saved with Some s -> s | None -> ""))
     f
+
+let with_njobs v f = with_env "T1000_NJOBS" v f
 
 (* ---------- Pool ---------- *)
 
@@ -185,7 +186,7 @@ let test_run_cache () =
   (* Baselines are runs like any other: the default-machine baseline is
      the Baseline setup's run. *)
   check_bool "baseline is run_setup of the Baseline setup" true
-    (Experiment.baseline ctx w
+    (Experiment.baseline_for ctx w T1000_ooo.Mconfig.default
     == Experiment.run_setup ctx w (Runner.setup Runner.Baseline));
   (* Figure 7 measures the 4-PFU selective machine that Figure 6 has
      already simulated, so on a shared ctx it simulates nothing. *)
@@ -194,6 +195,29 @@ let test_run_cache () =
   let f7 = Experiment.figure7 ctx in
   ignore (Format.asprintf "%a" Report.pp_figure7 f7);
   check_int "figure 7 after figure 6 adds no simulation" calls (sim_calls ())
+
+(* ---------- like-with-like speedups ---------- *)
+
+(* Every speedup is taken against the no-PFU baseline on the same
+   machine: under T1000_BPRED, Figure 6's 2-PFU cell is the speedup of
+   a selective run over a baseline with the same speculative front
+   end, exactly as two plain Runner.run calls made under the same
+   environment measure it — not over the perfect-prediction default. *)
+let test_speedup_same_machine () =
+  with_env "T1000_BPRED" "gshare@11" @@ fun () ->
+  let w = workload "g721_dec" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let f6 = Experiment.figure6_result ctx in
+  check_int "figure 6 has no faults" 0 (List.length f6.Experiment.faults);
+  let expected =
+    Runner.speedup
+      ~baseline:(Runner.run w (Runner.setup Runner.Baseline))
+      (Runner.run w
+         (Runner.setup ~n_pfus:(Some 2) ~penalty:10 Runner.Selective))
+  in
+  Alcotest.(check (float 0.0))
+    "2-PFU cell = Runner speedup against a same-predictor baseline" expected
+    (List.hd f6.Experiment.rows).Experiment.f6_sel_2
 
 let () =
   Alcotest.run "t1000_parallel"
@@ -218,5 +242,7 @@ let () =
           Alcotest.test_case "selection-table cache" `Slow
             test_selection_cache;
           Alcotest.test_case "run cache" `Slow test_run_cache;
+          Alcotest.test_case "speedup against a same-machine baseline" `Slow
+            test_speedup_same_machine;
         ] );
     ]
