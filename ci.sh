@@ -19,6 +19,19 @@ if dune rules _build/default/lib/ooo/.t1000_ooo.objs/native/t1000_ooo__Ruu.cmx \
   echo "the default profile compiles with -opaque (no cross-module inlining)" >&2
   exit 1
 fi
+# Sim.run's hot path and the leaf libraries it calls on every simulated
+# instruction compile with -inline 200 (DESIGN.md Section 5k); a dune
+# edit must not drop it silently.
+for cmx in lib/isa/.t1000_isa.objs/native/t1000_isa__Word.cmx \
+    lib/machine/.t1000_machine.objs/native/t1000_machine__Interp.cmx \
+    lib/cache/.t1000_cache.objs/native/t1000_cache__Cache.cmx \
+    lib/ooo/.t1000_ooo.objs/native/t1000_ooo__Ruu.cmx; do
+  dune rules "_build/default/$cmx" | tr -s ' \n' '  ' \
+    | grep -q -e '-inline 200' || {
+    echo "$cmx is no longer compiled with -inline 200" >&2
+    exit 1
+  }
+done
 dune printenv . | grep -q -e '-strict-sequence' || {
   echo "the default profile lost the strict lint flags" >&2
   exit 1

@@ -98,13 +98,13 @@ let create spec =
   in
   let entries = if table_bits = 0 then 0 else 1 lsl table_bits in
   let hist_bits =
-    match spec with Gshare b -> min b 16 | Perfect | Static | Bimodal _ -> 0
+    match spec with Gshare b -> Int.min b 16 | Perfect | Static | Bimodal _ -> 0
   in
   {
     spec;
     (* weakly taken *)
-    counters = Bytes.make (max entries 1) '\002';
-    mask = max (entries - 1) 0;
+    counters = Bytes.make (Int.max entries 1) '\002';
+    mask = Int.max (entries - 1) 0;
     hist = 0;
     hist_mask = (1 lsl hist_bits) - 1;
     btb_tags = Array.make btb_entries (-1);
@@ -136,7 +136,7 @@ let train_dir t ~index ~taken =
   | Bimodal _ | Gshare _ ->
       let slot = counter_slot t ~index in
       let c = Char.code (Bytes.unsafe_get t.counters slot) in
-      let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+      let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
       if c' <> c then Bytes.unsafe_set t.counters slot (Char.chr c'));
   push_history t ~taken
 

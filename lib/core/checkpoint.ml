@@ -47,23 +47,43 @@ let completed t =
 
 let digest ~key payload = Digest.to_hex (Digest.string (key ^ "\x00" ^ payload))
 
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
+
+(* Digit value of each character, -1 for all but the lowercase digits
+   [hex_encode] writes: any other spelling of a byte is corruption. *)
+let hex_value =
+  let t = Array.make 256 (-1) in
+  String.iteri (fun v c -> t.(Char.code c) <- v) hex_digits;
+  t
 
 let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
+  let n = String.length s / 2 in
+  if String.length s mod 2 <> 0 then None
   else begin
-    let b = Buffer.create (n / 2) in
-    let ok = ref true in
-    (try
-       for i = 0 to (n / 2) - 1 do
-         Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-       done
-     with Failure _ | Invalid_argument _ -> ok := false);
-    if !ok then Some (Buffer.contents b) else None
+    let b = Bytes.create n in
+    let rec go i =
+      if i = n then Some (Bytes.unsafe_to_string b)
+      else begin
+        let hi = hex_value.(Char.code s.[2 * i])
+        and lo = hex_value.(Char.code s.[(2 * i) + 1]) in
+        if hi < 0 || lo < 0 then None
+        else begin
+          Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+      end
+    in
+    go 0
   end
 
 let parse_line line =

@@ -61,18 +61,33 @@ let node_eval op a b =
   | N_shift Op.Srl -> Word.srl a (b land 31)
   | N_shift Op.Sra -> Word.sra a (b land 31)
 
+(* Node results go to a per-domain scratch array, grown on demand, so
+   an evaluation allocates nothing and pool domains never share one. *)
+let scratch = Domain.DLS.new_key (fun () -> Array.make 16 0)
+
+(* Closed, unlike a local closure over [results], which would be
+   allocated on every call. *)
+let[@inline] operand results v0 v1 = function
+  | Input 0 -> v0
+  | Input _ -> v1
+  | Const c -> Word.sext32 c
+  | Node j -> results.(j)
+
 let eval t v0 v1 =
   let n = Array.length t.nodes in
-  let results = Array.make n 0 in
-  let operand = function
-    | Input 0 -> v0
-    | Input _ -> v1
-    | Const c -> Word.sext32 c
-    | Node i -> results.(i)
+  let results =
+    let r = Domain.DLS.get scratch in
+    if Array.length r >= n then r
+    else begin
+      let r = Array.make (Int.max n (2 * Array.length r)) 0 in
+      Domain.DLS.set scratch r;
+      r
+    end
   in
   for i = 0 to n - 1 do
     let nd = Array.unsafe_get t.nodes i in
-    results.(i) <- node_eval nd.op (operand nd.a) (operand nd.b)
+    results.(i) <-
+      node_eval nd.op (operand results v0 v1 nd.a) (operand results v0 v1 nd.b)
   done;
   results.(n - 1)
 

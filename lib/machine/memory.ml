@@ -4,35 +4,61 @@ let page_bits = 12
 let page_bytes = 1 lsl page_bits
 let page_mask = page_bytes - 1
 
+(* A 32-bit address is [dir:10 | table:10 | offset:12].  A missing
+   table is [no_table], a missing page [Bytes.empty]. *)
+let table_bits = 10
+let table_mask = (1 lsl table_bits) - 1
+let dir_size = 1 lsl (32 - page_bits - table_bits)
+let no_table : Bytes.t array = [||]
+
 type t = {
-  pages : Bytes.t Int_tbl.t;
+  dir : Bytes.t array array;
+  mutable pages : int;
   (* The page of the last lookup that found one: accesses cluster, so
-     most of them skip the hash table.  [last_key] is -1 when empty. *)
+     most of them skip the directory walk.  [last_key] (the address
+     shifted right by [page_bits]) is -1 when empty. *)
   mutable last_key : int;
   mutable last_page : Bytes.t;
 }
 
 let create () =
-  { pages = Int_tbl.create 64; last_key = -1; last_page = Bytes.empty }
+  { dir = Array.make dir_size no_table; pages = 0; last_key = -1;
+    last_page = Bytes.empty }
 
-(* The allocated page holding key, or [Bytes.empty] if there is none. *)
+(* The allocated page holding key, or [Bytes.empty] if there is none.
+   Keys come from normalized addresses, so both indices are in range. *)
 let find_page t key =
   if key = t.last_key then t.last_page
   else
-    match Int_tbl.find t.pages key with
-    | p ->
+    let table = Array.unsafe_get t.dir (key lsr table_bits) in
+    if table == no_table then Bytes.empty
+    else begin
+      let p = Array.unsafe_get table (key land table_mask) in
+      if p != Bytes.empty then begin
         t.last_key <- key;
-        t.last_page <- p;
-        p
-    | exception Not_found -> Bytes.empty
+        t.last_page <- p
+      end;
+      p
+    end
 
 let page_of t addr =
   let key = addr lsr page_bits in
   let p = find_page t key in
   if p != Bytes.empty then p
   else begin
+    let d = key lsr table_bits in
+    let table =
+      let table = t.dir.(d) in
+      if table != no_table then table
+      else begin
+        let table = Array.make (1 lsl table_bits) Bytes.empty in
+        t.dir.(d) <- table;
+        table
+      end
+    in
     let p = Bytes.make page_bytes '\000' in
-    Int_tbl.add t.pages key p;
+    table.(key land table_mask) <- p;
+    t.pages <- t.pages + 1;
     p
   end
 
@@ -95,10 +121,12 @@ let store_word t addr v =
   end
 
 let clear t =
-  Int_tbl.reset t.pages;
+  Array.fill t.dir 0 dir_size no_table;
+  t.pages <- 0;
   t.last_key <- -1;
   t.last_page <- Bytes.empty
-let touched_pages t = Int_tbl.length t.pages
+
+let touched_pages t = t.pages
 
 let blit_words t addr ws =
   Array.iteri (fun i w -> store_word t (addr + (4 * i)) w) ws

@@ -1,9 +1,14 @@
 (** Sparse byte-addressable memory.
 
-    Pages (4 KiB) are allocated on first touch, so the full 32-bit
-    address space is usable without preallocation.  All multi-byte
-    accesses are little-endian and need not be aligned (the ISA's loads
-    and stores in practice are; the interpreter checks alignment
+    Addresses are reduced to 32 bits, and the space is a two-level page
+    directory: the top 10 bits select a table of 1024 page slots, the
+    next 10 a 4 KiB page.  Tables and pages are allocated on first
+    store, so the full 32-bit address space is usable without
+    preallocation; a load from unmapped memory reads zero and allocates
+    nothing.  A one-entry cache of the last page found serves most
+    accesses without walking the directory.  All multi-byte accesses
+    are little-endian and need not be aligned (the ISA's loads and
+    stores in practice are; the interpreter checks alignment
     separately). *)
 
 type t
@@ -30,7 +35,8 @@ val clear : t -> unit
 (** Drop every page, resetting all of memory to zero. *)
 
 val touched_pages : t -> int
-(** Number of 4 KiB pages allocated so far (for stats and tests). *)
+(** Number of 4 KiB pages allocated since {!create} or the last
+    {!clear} (for stats and tests). *)
 
 val page_bytes : int
 

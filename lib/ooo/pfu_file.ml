@@ -10,7 +10,7 @@ type unit_state = {
 
 type t = {
   units : unit_state array;  (* limited mode *)
-  unlimited : int Int_tbl.t;  (* conf -> ready_at *)
+  unlimited : Int_tbl.t;  (* conf -> ready_at *)
   is_unlimited : bool;
   penalty : int;
   replacement : Mconfig.pfu_replacement;
@@ -23,7 +23,7 @@ type t = {
 
 let create ~n ~penalty ~replacement =
   let n_units, is_unlimited =
-    match n with Some n -> (max n 0, false) | None -> (0, true)
+    match n with Some n -> (Int.max n 0, false) | None -> (0, true)
   in
   {
     units =
@@ -158,7 +158,7 @@ let request t ~now ~conf =
   | -1 -> Stall
   | unit_id ->
       Ready
-        { unit_id; at = max now (ready_at t ~unit_id); hit = t.hits > hits }
+        { unit_id; at = Int.max now (ready_at t ~unit_id); hit = t.hits > hits }
 
 let prefetch t ~now ~conf =
   if t.is_unlimited then begin

@@ -81,7 +81,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let ruu = Ruu.create ~size:mconfig.Mconfig.ruu_size in
   (* Fetch queue: a fixed ring of (slot, effective address, class). *)
   let ifq_size = mconfig.Mconfig.ifq_size in
-  let q_cap = max 1 ifq_size in
+  let q_cap = Int.max 1 ifq_size in
   let q_slot = Array.make q_cap 0 in
   let q_addr = Array.make q_cap (-1) in
   let q_class = Array.make q_cap F_ok in
@@ -404,7 +404,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
             e.Ruu.pfu_unit <- !unit_id;
             (* +1: configuration check happens at decode; issue is the
                next stage at the earliest. *)
-            e.Ruu.min_issue <- max !ready (!now + 1)
+            e.Ruu.min_issue <- Int.max !ready (!now + 1)
           end
           else e.Ruu.min_issue <- !now + 1;
           (* Register dependences. *)
@@ -418,9 +418,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
           if mem_addr >= 0 then begin
             match sl.Image.fu with
             | Image.Load -> (
-                match Int_tbl.find store_by_word (mem_addr lsr 2) with
-                | s -> if Ruu.in_flight ruu s then e.Ruu.dep3 <- s
-                | exception Not_found -> ())
+                let s =
+                  Int_tbl.find_or store_by_word (mem_addr lsr 2) ~default:(-1)
+                in
+                if s >= 0 && Ruu.in_flight ruu s then e.Ruu.dep3 <- s)
             | Image.Store ->
                 Int_tbl.replace store_by_word (mem_addr lsr 2) e.Ruu.seq
             | Image.Alu | Image.Mult | Image.Pfu | Image.No_fu -> ()

@@ -76,6 +76,109 @@ let test_dfg_eval_matches_interp =
       && Dfg.eval (mk Op.Slt) a b = Word.slt a b
       && Dfg.eval (mk Op.Sltu) a b = Word.sltu a b)
 
+(* The allocating evaluator [Dfg.eval] used to be: a fresh results
+   array per call and a local operand closure.  Kept as the reference
+   for the scratch-array version. *)
+let reference_eval g v0 v1 =
+  let nodes = Dfg.nodes g in
+  let n = Array.length nodes in
+  let results = Array.make n 0 in
+  let operand = function
+    | Dfg.Input 0 -> v0
+    | Dfg.Input _ -> v1
+    | Dfg.Const c -> Word.sext32 c
+    | Dfg.Node i -> results.(i)
+  in
+  let node_eval op a b =
+    match op with
+    | Dfg.N_alu (Op.Add | Op.Addu) -> Word.add a b
+    | Dfg.N_alu (Op.Sub | Op.Subu) -> Word.sub a b
+    | Dfg.N_alu Op.And -> Word.logand a b
+    | Dfg.N_alu Op.Or -> Word.logor a b
+    | Dfg.N_alu Op.Xor -> Word.logxor a b
+    | Dfg.N_alu Op.Nor -> Word.lognor a b
+    | Dfg.N_alu Op.Slt -> Word.slt a b
+    | Dfg.N_alu Op.Sltu -> Word.sltu a b
+    | Dfg.N_shift Op.Sll -> Word.sll a (b land 31)
+    | Dfg.N_shift Op.Srl -> Word.srl a (b land 31)
+    | Dfg.N_shift Op.Sra -> Word.sra a (b land 31)
+  in
+  Array.iteri
+    (fun i nd -> results.(i) <- node_eval nd.Dfg.op (operand nd.a) (operand nd.b))
+    nodes;
+  results.(n - 1)
+
+(* Random well-formed DFGs of 1-40 nodes: sizes past the initial
+   16-entry scratch array make it grow. *)
+let random_dfgs ~seed count =
+  let rng = Random.State.make [| seed |] in
+  let ops =
+    [| Dfg.N_alu Op.Add; N_alu Op.Addu; N_alu Op.Sub; N_alu Op.Subu;
+       N_alu Op.And; N_alu Op.Or; N_alu Op.Xor; N_alu Op.Nor; N_alu Op.Slt;
+       N_alu Op.Sltu; N_shift Op.Sll; N_shift Op.Srl; N_shift Op.Sra |]
+  in
+  List.init count (fun _ ->
+      let n_inputs = Random.State.int rng 3 in
+      let n = 1 + Random.State.int rng 40 in
+      let operand pos =
+        match Random.State.int rng 3 with
+        | 0 when n_inputs > 0 -> Dfg.Input (Random.State.int rng n_inputs)
+        | 1 when pos > 0 -> Dfg.Node (Random.State.int rng pos)
+        | _ ->
+            Dfg.Const
+              ((Random.State.bits rng lor (Random.State.bits rng lsl 30))
+              land 0xFFFF_FFFF)
+      in
+      Dfg.make ~n_inputs
+        (Array.init n (fun pos ->
+             let op = ops.(Random.State.int rng (Array.length ops)) in
+             let a = operand pos in
+             { Dfg.op; a; b = operand pos; width = 32 })))
+
+let eval_inputs = [ (0, 0); (1, -1); (0x7FFF_FFFF, 1); (-0x8000_0000, 31);
+                    (12345, -678) ]
+
+let eval_all eval dfgs =
+  List.concat_map
+    (fun g -> List.map (fun (a, b) -> eval g a b) eval_inputs)
+    dfgs
+
+let test_dfg_eval_reference () =
+  let dfgs = random_dfgs ~seed:7 300 in
+  Alcotest.(check (list int))
+    "matches the allocating evaluator"
+    (eval_all reference_eval dfgs) (eval_all Dfg.eval dfgs)
+
+let test_dfg_eval_no_alloc () =
+  let g = List.hd (List.filter (fun g -> Dfg.size g > 30) (random_dfgs ~seed:3 50)) in
+  ignore (Dfg.eval g 1 2);
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_words (fun () -> ()) in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Dfg.eval g i (i * 7)))
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words over 10 000 calls" 0.
+    (words -. baseline)
+
+let test_dfg_eval_domains () =
+  let dfgs = random_dfgs ~seed:11 200 in
+  let expected = eval_all Dfg.eval dfgs in
+  let worker () = List.init 20 (fun _ -> eval_all Dfg.eval dfgs) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iter
+    (fun runs ->
+      List.iter
+        (Alcotest.(check (list int)) "concurrent equals sequential" expected)
+        runs)
+    [ Domain.join d1; Domain.join d2 ]
+
 let test_dfg_latency () =
   check_int "chain latency" 2 (Dfg.base_latency fig3_dfg);
   check_int "serial latency" 2 (Dfg.serial_latency fig3_dfg);
@@ -495,6 +598,11 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_dfg_make_validation;
           Alcotest.test_case "eval" `Quick test_dfg_eval;
+          Alcotest.test_case "eval reference" `Quick test_dfg_eval_reference;
+          Alcotest.test_case "eval allocates nothing" `Quick
+            test_dfg_eval_no_alloc;
+          Alcotest.test_case "eval across domains" `Quick
+            test_dfg_eval_domains;
           Alcotest.test_case "latency" `Quick test_dfg_latency;
           Alcotest.test_case "to_dot" `Quick test_dfg_to_dot;
         ]

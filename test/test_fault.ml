@@ -246,6 +246,63 @@ let test_checkpoint_duplicate_key_last_wins () =
   check_int "one binding" 1 (Checkpoint.completed j2);
   check_bool "the last record wins" true (Checkpoint.find j2 ~key:"k" = Some 1.0)
 
+(* The journal line format as the per-byte [Printf] encoder wrote it. *)
+let reference_hex s =
+  String.concat "" (List.init (String.length s) (fun i ->
+      Printf.sprintf "%02x" (Char.code s.[i])))
+
+let journal_line ~key_hex ~key payload =
+  Printf.sprintf "t1000v1 %s %s %s\n"
+    (Digest.to_hex (Digest.string (key ^ "\x00" ^ payload)))
+    key_hex (reference_hex payload)
+
+let test_checkpoint_hex_all_bytes () =
+  let dir = fresh_dir () in
+  let all = String.init 256 Char.chr in
+  let j = Checkpoint.create ~fresh:true ~dir ~run:"bytes" () in
+  Checkpoint.record j ~key:all all;
+  Alcotest.(check string)
+    "the line is the per-byte encoding"
+    (journal_line ~key_hex:(reference_hex all) ~key:all
+       (Marshal.to_string all []))
+    (In_channel.with_open_bin (Checkpoint.path j) In_channel.input_all);
+  let j2 = Checkpoint.create ~dir ~run:"bytes" () in
+  check_bool "healthy" true (Checkpoint.corrupt j2 = []);
+  check_bool "all 256 byte values round-trip" true
+    (Checkpoint.find j2 ~key:all = Some all)
+
+(* A journal line, byte for byte as the journal has always written it:
+   resumed runs read journals written before the codec changed. *)
+let test_checkpoint_pinned_line () =
+  let dir = fresh_dir () in
+  let j = Checkpoint.create ~fresh:true ~dir ~run:"pin" () in
+  Checkpoint.record j ~key:"f2/unepic\x00\xff" (42, "ok");
+  Alcotest.(check string)
+    "journal bytes"
+    "t1000v1 64c9938307397b0baab86cf7d10337ae 66322f756e6570696300ff \
+     8495a6be00000005000000020000000500000005a06a226f6b\n"
+    (In_channel.with_open_bin (Checkpoint.path j) In_channel.input_all)
+
+(* Only the lowercase pairs the encoder writes decode.  [a_] once read
+   as byte 0x0a (through [int_of_string "0xa_"]) and an uppercase pair
+   as its lowercase twin, so these lines passed the digest. *)
+let test_checkpoint_noncanonical_hex () =
+  let dir = fresh_dir () in
+  let j = Checkpoint.create ~fresh:true ~dir ~run:"hex" () in
+  let payload = Marshal.to_string 1.0 [] in
+  Out_channel.with_open_bin (Checkpoint.path j) (fun oc ->
+      List.iter (Out_channel.output_string oc)
+        [
+          journal_line ~key_hex:"a_" ~key:"\n" payload;
+          journal_line ~key_hex:"AB" ~key:"\xab" payload;
+          journal_line ~key_hex:"6f6b" ~key:"ok" payload;
+        ]);
+  let j2 = Checkpoint.create ~dir ~run:"hex" () in
+  check_int "both non-canonical lines are corrupt" 2
+    (List.length (Checkpoint.corrupt j2));
+  check_int "the canonical one loads" 1 (Checkpoint.completed j2);
+  check_bool "and reads back" true (Checkpoint.find j2 ~key:"ok" = Some 1.0)
+
 let test_checkpoint_dir_validation () =
   let dir = fresh_dir () in
   (* unset/empty and a (possibly not-yet-existing) directory are fine *)
@@ -542,6 +599,12 @@ let () =
             test_checkpoint_duplicate_key_last_wins;
           Alcotest.test_case "T1000_CHECKPOINT_DIR validation" `Quick
             test_checkpoint_dir_validation;
+          Alcotest.test_case "hex: all byte values" `Quick
+            test_checkpoint_hex_all_bytes;
+          Alcotest.test_case "hex: pinned journal line" `Quick
+            test_checkpoint_pinned_line;
+          Alcotest.test_case "hex: non-canonical pairs are corrupt" `Quick
+            test_checkpoint_noncanonical_hex;
         ] );
       ( "runner",
         [

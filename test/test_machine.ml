@@ -71,6 +71,95 @@ let test_memory_random =
           Memory.load_byte m a = Option.value ~default:0 (Hashtbl.find_opt model a))
         writes)
 
+(* The page-directory edges: address 0, the cross-page byte path of a
+   halfword and a word, the boundary between the first two directory
+   entries, the top of the address space and wrap-around above it. *)
+let test_memory_directory () =
+  let m = Memory.create () in
+  check_int "address 0 unmapped" 0 (Memory.load_word m 0);
+  check_int "loads allocate nothing" 0 (Memory.touched_pages m);
+  Memory.store_byte m 0 0x5A;
+  check_int "address 0" 0x5A (Memory.load_byte m 0);
+  Memory.store_half m 0xFFE 0xBEEF;
+  check_int "halfword at the page end" 0xBEEF (Memory.load_half m 0xFFE);
+  check_int "page 0 only" 1 (Memory.touched_pages m);
+  Memory.store_word m 0xFFD 0x12345678;
+  check_int "word across pages" 0x12345678 (Memory.load_word m 0xFFD);
+  check_int "its last byte on page 1" 0x12 (Memory.load_byte m 0x1000);
+  check_int "two pages" 2 (Memory.touched_pages m);
+  Memory.store_word m 0x3FFFFC (-7);
+  Memory.store_word m 0x400000 0x7ABBCCDD;
+  check_int "last word of directory entry 0" (-7) (Memory.load_word m 0x3FFFFC);
+  check_int "first word of directory entry 1" 0x7ABBCCDD
+    (Memory.load_word m 0x400000);
+  Memory.store_word m 0x3FFFFE 0x11223344;
+  check_int "word across the entry boundary" 0x11223344
+    (Memory.load_word m 0x3FFFFE);
+  check_int "its high half in entry 1" 0x1122 (Memory.load_half m 0x400000);
+  Memory.store_word m 0xFFFFFFFC 0x01020304;
+  check_int "top word" 0x01020304 (Memory.load_word m 0xFFFFFFFC);
+  check_int "above 2^32 wraps" 0x01020304
+    (Memory.load_word m (0x1_FFFFFFFC));
+  Memory.store_byte m (0x2_0000_0010) 0x77;
+  check_int "a wrapped store lands low" 0x77 (Memory.load_byte m 0x10);
+  let pages = Memory.touched_pages m in
+  check_int "five pages" 5 pages;
+  List.iter
+    (fun a ->
+      check_int (Printf.sprintf "unmapped 0x%x" a) 0 (Memory.load_word m a))
+    [ 0x2000; 0x3FF000; 0x800000; 0x7FFFFFF0; 0xFFFFE000 ];
+  check_int "unmapped loads leave the count" pages (Memory.touched_pages m);
+  Memory.clear m;
+  check_int "clear resets the count" 0 (Memory.touched_pages m);
+  check_int "and the contents" 0 (Memory.load_word m 0x400000);
+  Memory.store_word m 0x400000 1;
+  check_int "usable after clear" 1 (Memory.load_word m 0x400000);
+  check_int "one page after clear" 1 (Memory.touched_pages m)
+
+(* ---------- Int_tbl ---------- *)
+
+(* 100 k random operations against a [Hashtbl] model, over key classes
+   that stress the hash: 0, keys at and above 2^30, and keys strided by
+   1024 (word indices one 4 KiB page apart). *)
+let test_int_tbl_model () =
+  let t = Int_tbl.create 4 and model = Hashtbl.create 64 in
+  let rng = Random.State.make [| 20 |] in
+  let key () =
+    match Random.State.int rng 4 with
+    | 0 -> 0
+    | 1 -> (1 lsl 30) + Random.State.int rng 5000
+    | 2 -> 1024 * Random.State.int rng 5000
+    | _ -> Random.State.int rng 20000
+  in
+  for i = 1 to 100_000 do
+    let k = key () in
+    match Random.State.int rng 3 with
+    | 0 ->
+        Int_tbl.replace t k i;
+        Hashtbl.replace model k i
+    | 1 ->
+        let got = try Some (Int_tbl.find t k) with Not_found -> None in
+        if got <> Hashtbl.find_opt model k then
+          Alcotest.failf "find %d disagrees with the model" k;
+        if Int_tbl.find_or t k ~default:(-1)
+           <> Option.value ~default:(-1) (Hashtbl.find_opt model k)
+        then Alcotest.failf "find_or %d disagrees with the model" k
+    | _ ->
+        if Int_tbl.mem t k <> Hashtbl.mem model k then
+          Alcotest.failf "mem %d disagrees with the model" k
+  done;
+  (* from a 16-slot start, more than 128 bindings take at least 4
+     doublings *)
+  check_bool "grew through 4 resizes" true (Hashtbl.length model > 128);
+  check_int "length" (Hashtbl.length model) (Int_tbl.length t);
+  Hashtbl.iter
+    (fun k v -> check_int (Printf.sprintf "binding %d" k) v (Int_tbl.find t k))
+    model;
+  check_bool "negative keys are never bound" false (Int_tbl.mem t (-1));
+  Alcotest.check_raises "a negative key is rejected"
+    (Invalid_argument "Int_tbl.replace: negative key") (fun () ->
+      Int_tbl.replace t (-3) 1)
+
 (* ---------- Regfile ---------- *)
 
 let test_regfile () =
@@ -393,8 +482,11 @@ let () =
           Alcotest.test_case "cross page" `Quick test_memory_cross_page;
           Alcotest.test_case "clear" `Quick test_memory_clear;
           Alcotest.test_case "blit" `Quick test_memory_blit;
+          Alcotest.test_case "page directory" `Quick test_memory_directory;
         ]
         @ qsuite [ test_memory_random ] );
+      ( "int_tbl",
+        [ Alcotest.test_case "agrees with model" `Quick test_int_tbl_model ] );
       ("regfile", [ Alcotest.test_case "basics" `Quick test_regfile ]);
       ( "interp",
         [
