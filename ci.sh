@@ -292,6 +292,23 @@ diff "$DSE_SEQ" "$DSE_PAR" || {
   exit 1
 }
 
+echo "== dse: shared runs under self-check =="
+# On the reduced suite the gain thresholds 0.001/0.005/0.02 pick one
+# table, so most points share a run through the input-keyed run memo.
+# Self-check keys its runs apart and audits each: the frontier must not
+# change.
+DSE_GAIN_AXES="pfus=1,2:penalty=0,100:lut=75,150:repl=lru:gain=0.001,0.005,0.02:width=4"
+T1000_WORKLOADS=unepic,g721_dec \
+  timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_GAIN_AXES" --budget 24 \
+  > "$CKPT_DIR/dse_gain.out"
+T1000_WORKLOADS=unepic,g721_dec T1000_SELFCHECK=1 \
+  timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_GAIN_AXES" --budget 24 \
+  > "$CKPT_DIR/dse_gain_audited.out"
+diff "$CKPT_DIR/dse_gain.out" "$CKPT_DIR/dse_gain_audited.out" || {
+  echo "self-checked dse frontier differs from the unaudited run" >&2
+  exit 1
+}
+
 echo "== dse: interrupted exploration resumes byte-identically =="
 # Kill the exploration mid-flight with an injected fault (exit 3), then
 # --resume against the journal: the finished frontier must match the

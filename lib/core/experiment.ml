@@ -25,7 +25,7 @@ let sel_key (s : Runner.setup) =
 type ctx = {
   suite : Workload.t list;
   analyses : (string, Runner.analysis) Memo.t;
-  runs : (string * int * Runner.setup, Runner.run) Memo.t;
+  runs : (string * string, Runner.run) Memo.t;
   tables : (string * sel_key, T1000_select.Extinstr.t) Memo.t;
 }
 
@@ -50,15 +50,24 @@ let selection_table ctx (w : Workload.t) s =
         (w.Workload.name, k)
         (fun () -> Runner.select_table s (analysis ctx w))
 
-(* A setup is plain data and a run a pure function of (w, setup), so
-   figures that revisit a machine point share one simulation.  The key
-   carries a deep hash of the setup ([Hashtbl.hash] never reaches its
-   [machine]); the cap bounds a DSE sweep, whose runs (a few KB each)
-   are mostly distinct. *)
+(* A run is a pure function of what [Runner.simulate] consumes, so the
+   memo is keyed on exactly that ([Runner.inputs_key]), not on the
+   setup: DSE points whose gain thresholds or LUT budgets pick the same
+   table share one simulation and one set of checks.  The same setup
+   gets the physically same run back; another setup gets the shared
+   statistics under its own [used].  The cap bounds a DSE sweep (runs
+   are a few KB each). *)
 let run_setup ctx (w : Workload.t) s =
-  let key = (w.Workload.name, Hashtbl.hash_param 256 256 s, s) in
-  Memo.find_or_compute ctx.runs key (fun () ->
-      Runner.run ~analysis:(analysis ctx w) ~table:(selection_table ctx w s) w s)
+  let p =
+    Runner.prepare ~analysis:(analysis ctx w) ~table:(selection_table ctx w s)
+      w s
+  in
+  let r =
+    Memo.find_or_compute ctx.runs
+      (w.Workload.name, Runner.inputs_key p)
+      (fun () -> Runner.simulate p)
+  in
+  if r.Runner.used = s then r else { r with Runner.used = s }
 
 let baseline_for ctx w machine =
   run_setup ctx w { (Runner.setup Runner.Baseline) with Runner.machine }

@@ -7,10 +7,10 @@ open T1000_workloads
 
 (** Per-suite memo of analyses, runs and selection tables, so a batch
     of experiments profiles each workload once, selects each distinct
-    table once and simulates each distinct (workload, setup) once —
-    baselines included, and across figures: A1's 4-PFU point, F7 and
-    A6's single-cycle point are one run.  All memo
-    tables are compute-once and domain-safe ({!Memo}): the sweep
+    table once and simulates each distinct (workload, program, machine)
+    once — baselines included, and across figures: A1's 4-PFU point,
+    F7 and A6's single-cycle point are one run.  All memo tables are
+    compute-once and domain-safe ({!Memo}): the sweep
     drivers below fan their (workload x configuration) points out over
     the {!Pool} worker pool ([T1000_NJOBS] workers) and still return
     exactly the rows a sequential run returns. *)
@@ -41,13 +41,22 @@ val selection_table :
 
 val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
 (** {!Runner.run} with the ctx's cached analysis and selection table,
-    itself cached per (workload, setup): a repeated call returns the
-    {e physically same} run without simulating again.  Sound because a
-    setup is plain data and every run is a pure function of the
-    workload and the setup.  The cache keeps the 1024 most recently
-    used runs (the paper suite needs about 350; a DSE sweep's points
-    are mostly distinct); an evicted run is simulated again, with the
-    same result. *)
+    itself cached on what the simulation consumes: the workload name
+    and {!Runner.inputs_key} of the {!Runner.prepare}d setup (rewritten
+    program, each entry's DFG and effective latency, effective machine,
+    [selfcheck]).  Setups that differ only in knobs that do not change
+    those inputs share one simulation, one output check and one
+    self-check: most DSE points that differ only in gain threshold or
+    LUT budget pick the same table.  A repeated call with an equal
+    setup returns the {e physically same} run; a different setup with
+    the same key gets the cached run with [used] set to itself.  Sound
+    because a run is a pure function of those inputs.  The
+    [T1000_MAX_CYCLES] override and [Mconfig.progress_window] are not
+    in the key: they only decide whether a run raises, and a run that
+    raises is not cached ({!Memo} clears the pending slot), so they
+    cannot make a cached result wrong.  The cache keeps the 1024 most
+    recently used runs (the paper suite needs about 320); an evicted
+    run is simulated again, with the same result. *)
 
 val speedup_of : ctx -> Workload.t -> Runner.setup -> float
 (** Speedup of [run_setup] over {!baseline_for} the setup's own

@@ -154,7 +154,17 @@ let select_table s analysis =
       in
       r.Selective.table
 
-let run ?analysis ?table (w : Workload.t) s =
+type prepared = {
+  p_workload : Workload.t;
+  p_used : setup;
+  p_reference : string;
+  p_table : Extinstr.t;
+  p_program : Program.t;
+  p_machine : Mconfig.t;
+  p_latency : int array;
+}
+
+let prepare ?analysis ?table (w : Workload.t) s =
   validate s;
   let analysis = match analysis with Some a -> a | None -> analyze w in
   let table =
@@ -199,25 +209,54 @@ let run ?analysis ?table (w : Workload.t) s =
         Mconfig.with_pfus ~replacement:s.replacement ~penalty:s.penalty
           s.n_pfus s.machine
   in
-  let ext_latency =
+  let latency (e : Extinstr.entry) =
     match s.ext_timing with
-    | `Single_cycle -> fun eid -> (Extinstr.get table eid).Extinstr.latency
-    | `Lut_levels ->
-        fun eid ->
-          T1000_hwcost.Lut.latency_estimate (Extinstr.get table eid).Extinstr.dfg
+    | `Single_cycle -> e.Extinstr.latency
+    | `Lut_levels -> T1000_hwcost.Lut.latency_estimate e.Extinstr.dfg
   in
+  {
+    p_workload = w;
+    p_used = s;
+    p_reference = analysis.reference;
+    p_table = table;
+    p_program = program;
+    p_machine = machine;
+    p_latency =
+      Array.init (Extinstr.count table) (fun eid ->
+          latency (Extinstr.get table eid));
+  }
+
+(* Everything [simulate] reads besides the workload.  [No_sharing]
+   makes the bytes a function of the values' structure alone, not of
+   which of their parts happen to be physically shared. *)
+let inputs_key p =
+  let entries =
+    List.map
+      (fun (e : Extinstr.entry) ->
+        (e.Extinstr.dfg, p.p_latency.(e.Extinstr.eid)))
+      (Extinstr.entries p.p_table)
+  in
+  Digest.string
+    (Marshal.to_string
+       (Program.instrs p.p_program, entries, p.p_machine, p.p_used.selfcheck)
+       [ Marshal.No_sharing ])
+
+let simulate p =
+  let w = p.p_workload and s = p.p_used in
+  let table = p.p_table and program = p.p_program in
   let stats, mem =
     T1000_obs.Metrics.time "phase.sim" @@ fun () ->
     with_final_memory w (fun init ->
-        Sim.run ~mconfig:machine ~ext_latency ~ext_eval:(Extinstr.eval table)
-          ~selfcheck:s.selfcheck ~init program)
+        Sim.run ~mconfig:p.p_machine
+          ~ext_latency:(Array.get p.p_latency)
+          ~ext_eval:(Extinstr.eval table) ~selfcheck:s.selfcheck ~init program)
   in
   (* The rewriter's safety net.  The simulator never executes
      wrong-path instructions, so its final memory is the committed
      state: its output must be the profiling run's. *)
   if Extinstr.count table > 0 then
     T1000_obs.Metrics.time "phase.verify" (fun () ->
-        check_output w ~reference:analysis.reference (Workload.output w mem));
+        check_output w ~reference:p.p_reference (Workload.output w mem));
   (* Self-check mode cross-validates the timing simulator's
      architectural results against an independent functional run of the
      same program on the same inputs: the committed-instruction count
@@ -232,7 +271,7 @@ let run ?analysis ?table (w : Workload.t) s =
                  "%s: simulator committed %d instructions but the \
                   functional interpreter retired %d"
                  w.Workload.name stats.Stats.committed steps)));
-    if not (String.equal interp_out analysis.reference) then
+    if not (String.equal interp_out p.p_reference) then
       raise
         (Fault.Error
            (Fault.Selfcheck_failed
@@ -242,5 +281,7 @@ let run ?analysis ?table (w : Workload.t) s =
                  w.Workload.name)))
   end;
   { workload = w; used = s; table; program; stats }
+
+let run ?analysis ?table w s = simulate (prepare ?analysis ?table w s)
 
 let speedup ~baseline r = Stats.speedup ~baseline:baseline.stats r.stats

@@ -103,11 +103,38 @@ val select_table : setup -> analysis -> T1000_select.Extinstr.t
     [penalty] or [replacement], which is what makes the table cachable
     across a penalty or replacement sweep ({!Experiment}). *)
 
+type prepared
+(** A setup resolved to exactly what the simulation consumes: the
+    rewritten program, the extended-instruction table, the effective
+    machine (after the [Baseline] / {!Mconfig.with_pfus} override) and
+    each entry's effective latency (after [ext_timing]). *)
+
+val prepare : ?analysis:analysis -> ?table:T1000_select.Extinstr.t ->
+  Workload.t -> setup -> prepared
+(** The part of {!run} before simulation: validate, select (unless
+    [?table] is given), rewrite, and resolve the machine and the
+    latencies.  Cheap next to {!simulate}: a few microseconds on the
+    registry programs.
+    @raise Fault.Error with [Invalid_config] ({!validate}). *)
+
+val inputs_key : prepared -> string
+(** A digest of everything {!simulate} reads besides the workload: the
+    rewritten program's instructions, each table entry's
+    [(dfg, effective latency)], the effective machine and [selfcheck].
+    Two prepared setups of the same workload with equal keys simulate
+    to equal statistics and pass or fail the same checks, however much
+    their setups differ (e.g. gain thresholds that pick the same
+    table). *)
+
+val simulate : prepared -> run
+(** The rest of {!run}: simulate, then the output and self-checks
+    described there.  The run's [used] is the prepared setup. *)
+
 val run : ?analysis:analysis -> ?table:T1000_select.Extinstr.t ->
   Workload.t -> setup -> run
-(** Select, rewrite, and simulate.  The rewritten program's outputs
-    are checked after timing, from the simulator's committed memory: its
-    output region must equal [analysis.reference] byte for byte (a
+(** Select, rewrite, and simulate: [simulate (prepare ...)].  The
+    rewritten program's outputs are checked after timing, from the
+    simulator's committed memory: its output region must equal [analysis.reference] byte for byte (a
     safety net for the rewriter, timed as [phase.verify]); a mismatch
     raises {!Fault.Error} with [Verify_mismatch].  [Baseline] runs, and
     any run whose table is empty, simulate the original program and are

@@ -8,8 +8,17 @@ type t = {
   ipc : float;
   pfu_hits : int;
   pfu_misses : int;  (** = reconfigurations *)
-  pfu_stalls : int;  (** dispatch stalls waiting for an unpinned PFU *)
-  ruu_full_stalls : int;  (** dispatch attempts blocked by a full RUU *)
+  pfu_stalls : int;
+      (** cycles in which dispatch stopped at an extended instruction
+          because every PFU was pinned *)
+  ruu_full_stalls : int;
+      (** cycles in which dispatch stopped because the RUU was full.
+          Like [pfu_stalls] and [fetch_stall_cycles], a cycle count:
+          dispatch stops at its first block, so at most one of the two
+          dispatch counters rises in a cycle, and at most by one; a
+          skipped quiet span is charged its length times one quiet
+          cycle's count.  Hence
+          [pfu_stalls + ruu_full_stalls <= cycles]. *)
   branch_mispredicts : int;  (** always 0 under perfect prediction *)
   squashes : int;
       (** misprediction recoveries that flushed the window (speculative

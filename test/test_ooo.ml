@@ -104,6 +104,78 @@ let test_pfu_zero_units () =
   | Pfu_file.Stall -> ()
   | Pfu_file.Ready _ -> Alcotest.fail "no units: must stall"
 
+(* ---------- Pfu_file: reconfigurations vs PFU count ---------- *)
+
+(* The configuration stream of g721_enc's greedy rewrite: the
+   configuration id of every extended instruction the functional
+   interpreter executes, in program order. *)
+let g721_enc_confs () =
+  let w = Option.get (T1000_workloads.Registry.find "g721_enc") in
+  let program = w.T1000_workloads.Workload.program in
+  let table =
+    T1000.Runner.select_table
+      (T1000.Runner.setup ~selfcheck:false T1000.Runner.Greedy)
+      (T1000.Runner.analyze w)
+  in
+  let rewritten =
+    (T1000_select.Rewrite.apply program table).T1000_select.Rewrite.program
+  in
+  let mem = T1000_machine.Memory.create ()
+  and regs = T1000_machine.Regfile.create () in
+  w.T1000_workloads.Workload.init mem regs;
+  let it =
+    T1000_machine.Interp.create ~mem ~regs
+      ~ext_eval:(T1000_select.Extinstr.eval table) rewritten
+  in
+  let confs = ref [] in
+  let rec go () =
+    match T1000_machine.Interp.step it with
+    | None -> ()
+    | Some e ->
+        (match e.T1000_machine.Trace.instr with
+        | Instr.Ext { eid; _ } -> confs := eid :: !confs
+        | _ -> ());
+        go ()
+  in
+  go ();
+  Array.of_list (List.rev !confs)
+
+(* Untimed replay: each request is released at once, so no unit is
+   ever pinned and every request has its own LRU stamp.  That makes
+   the file a pure LRU cache, a stack algorithm, so more PFUs can never
+   mean more misses.  FIFO is not a stack algorithm (Belady's anomaly)
+   and is not asserted.
+
+   The timed model does not have this property: Sim.run with greedy at
+   a 10-cycle penalty reconfigures 65,536 / 49,160 / 20 / 26 / 5 times
+   at 1 / 2 / 3 / 4 / 6 PFUs on this same program.  There the victim
+   search skips pinned units and stamps recency by cycle, so the file
+   is not a pure stack algorithm.  Nothing here asserts that anomaly or
+   its absence. *)
+let test_pfu_lru_misses_monotone () =
+  let confs = g721_enc_confs () in
+  check_bool "g721_enc's greedy rewrite executes extended instructions" true
+    (Array.length confs > 0);
+  let misses n =
+    let f = Pfu_file.create ~n:(Some n) ~penalty:10 ~replacement:Mconfig.Lru in
+    Array.iteri
+      (fun now conf ->
+        match Pfu_file.request f ~now ~conf with
+        | Pfu_file.Ready { unit_id; _ } -> Pfu_file.release f ~unit_id
+        | Pfu_file.Stall -> Alcotest.fail "an unpinned file never stalls")
+      confs;
+    Pfu_file.misses f
+  in
+  let counts = List.map (fun n -> (n, misses n)) [ 1; 2; 3; 4; 6 ] in
+  ignore
+    (List.fold_left
+       (fun (pn, pm) (n, m) ->
+         check_bool
+           (Printf.sprintf "%d PFUs miss %d <= %d PFUs miss %d" n m pn pm)
+           true (m <= pm);
+         (n, m))
+       (List.hd counts) (List.tl counts))
+
 (* ---------- Ruu ---------- *)
 
 let test_ruu_ring () =
@@ -688,6 +760,32 @@ let test_sim_new_stats () =
   check_bool "some cold-start fetch stalls" true
     (s.Stats.fetch_stall_cycles >= 0)
 
+let test_sim_stall_units () =
+  (* Dispatch stops at its first block, so each of the two dispatch
+     stall counters rises at most once per cycle, and a skipped span
+     adds k times one quiet cycle's count: both are cycle counts.  A
+     single PFU with a 500-cycle penalty blocks dispatch on both under
+     selective, and on the PFU in almost every cycle under greedy. *)
+  let w = Option.get (T1000_workloads.Registry.find "g721_enc") in
+  let stats method_ =
+    (T1000.Runner.run w
+       (T1000.Runner.setup ~selfcheck:false ~n_pfus:(Some 1) ~penalty:500
+          method_))
+      .T1000.Runner.stats
+  in
+  let greedy = stats T1000.Runner.Greedy
+  and selective = stats T1000.Runner.Selective in
+  check_bool "greedy stalls on the PFU" true (greedy.Stats.pfu_stalls > 0);
+  check_bool "selective stalls on the PFU" true
+    (selective.Stats.pfu_stalls > 0);
+  check_bool "selective fills the window" true
+    (selective.Stats.ruu_full_stalls > 0);
+  List.iter
+    (fun (name, s) ->
+      check_bool (name ^ ": pfu + ruu-full stalls <= cycles") true
+        (s.Stats.pfu_stalls + s.Stats.ruu_full_stalls <= s.Stats.cycles))
+    [ ("greedy", greedy); ("selective", selective) ]
+
 let test_sim_max_cycles () =
   let p =
     build (fun b ->
@@ -720,6 +818,8 @@ let () =
           Alcotest.test_case "pinning stall" `Quick test_pfu_pinning_stall;
           Alcotest.test_case "fifo" `Quick test_pfu_fifo;
           Alcotest.test_case "zero units" `Quick test_pfu_zero_units;
+          Alcotest.test_case "lru misses non-increasing in pfu count" `Quick
+            test_pfu_lru_misses_monotone;
         ] );
       ( "ruu",
         [
@@ -759,6 +859,8 @@ let () =
             test_sim_mem_port_contention;
           Alcotest.test_case "commit width" `Quick test_sim_commit_width;
           Alcotest.test_case "new stats" `Quick test_sim_new_stats;
+          Alcotest.test_case "stall counters are cycle counts" `Quick
+            test_sim_stall_units;
           Alcotest.test_case "max cycles" `Quick test_sim_max_cycles;
           Alcotest.test_case "speedup" `Quick test_stats_speedup;
         ] );

@@ -196,6 +196,138 @@ let test_run_cache () =
   ignore (Format.asprintf "%a" Report.pp_figure7 f7);
   check_int "figure 7 after figure 6 adds no simulation" calls (sim_calls ())
 
+(* ---------- run-memo key ---------- *)
+
+(* The run memo is keyed on what the simulation consumes
+   (Runner.inputs_key), not on the setup. *)
+
+let same_table ctx w a b =
+  let text s =
+    T1000_select.Extinstr.to_text (Experiment.selection_table ctx w s)
+  in
+  String.equal (text a) (text b)
+
+let selective ?(selfcheck = false) g =
+  {
+    (Runner.setup ~selfcheck ~n_pfus:(Some 2) ~penalty:10 Runner.Selective) with
+    Runner.gain_threshold = g;
+  }
+
+let test_run_key_shares_gain () =
+  let w = workload "unepic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let lo = selective 0.001 and hi = selective 0.02 in
+  check_bool "both thresholds select the same table" true
+    (same_table ctx w lo hi);
+  let calls = sim_calls () in
+  let r_lo = Experiment.run_setup ctx w lo in
+  let r_hi = Experiment.run_setup ctx w hi in
+  check_int "one simulation for both setups" (calls + 1) (sim_calls ());
+  check_bool "equal stats" true (r_lo.Runner.stats = r_hi.Runner.stats);
+  check_bool "each run keeps its own setup" true
+    (r_lo.Runner.used = lo && r_hi.Runner.used = hi);
+  check_bool "the first setup gets its own run back" true
+    (Experiment.run_setup ctx w lo == r_lo)
+
+(* [selfcheck] is covered by [test_run_key_selfcheck]. *)
+let test_run_key_separates_inputs () =
+  let w = workload "unepic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let base = selective 0.005 in
+  ignore (Experiment.run_setup ctx w base);
+  let adds what s =
+    let calls = sim_calls () in
+    ignore (Experiment.run_setup ctx w s);
+    check_int (what ^ " simulates anew") (calls + 1) (sim_calls ())
+  in
+  adds "penalty" { base with Runner.penalty = 50 };
+  adds "replacement" { base with Runner.replacement = T1000_ooo.Mconfig.Fifo };
+  adds "n_pfus" { base with Runner.n_pfus = Some 4 };
+  adds "config_prefetch" { base with Runner.config_prefetch = true };
+  adds "bpred"
+    {
+      base with
+      Runner.machine =
+        {
+          base.Runner.machine with
+          T1000_ooo.Mconfig.bpred = T1000_bpred.Predictor.Bimodal 11;
+        };
+    };
+  (* The LUT-level delay model moves no latency on unepic, so it
+     shares the single-cycle run; on mpeg2_dec it moves one. *)
+  let lut s = { s with Runner.ext_timing = `Lut_levels } in
+  let calls = sim_calls () in
+  ignore (Experiment.run_setup ctx w (lut base));
+  check_int "an ext_timing that moves no latency shares" calls (sim_calls ());
+  let m = workload "mpeg2_dec" in
+  let ctx = Experiment.create_ctx ~workloads:[ m ] () in
+  let moved =
+    List.exists
+      (fun (e : T1000_select.Extinstr.entry) ->
+        T1000_hwcost.Lut.latency_estimate e.T1000_select.Extinstr.dfg
+        <> e.T1000_select.Extinstr.latency)
+      (T1000_select.Extinstr.entries (Experiment.selection_table ctx m base))
+  in
+  check_bool "mpeg2_dec has an entry the delay model slows" true moved;
+  ignore (Experiment.run_setup ctx m base);
+  let calls = sim_calls () in
+  ignore (Experiment.run_setup ctx m (lut base));
+  check_int "an ext_timing that moves a latency simulates anew" (calls + 1)
+    (sim_calls ())
+
+let test_run_key_selfcheck () =
+  (* Same table, same machine: only [selfcheck] differs, in either
+     order, and the checked setup must get a checked simulation. *)
+  let w = workload "unepic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let plain = selective 0.001 and checked = selective ~selfcheck:true 0.02 in
+  check_bool "both thresholds select the same table" true
+    (same_table ctx w plain checked);
+  ignore (Experiment.run_setup ctx w plain);
+  let calls = sim_calls () in
+  let r = Experiment.run_setup ctx w checked in
+  check_int "an unchecked run never serves a checked setup" (calls + 1)
+    (sim_calls ());
+  check_bool "the run is the checked setup's" true
+    r.Runner.used.Runner.selfcheck;
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  ignore (Experiment.run_setup ctx w checked);
+  let calls = sim_calls () in
+  ignore (Experiment.run_setup ctx w plain);
+  check_int "nor a checked run an unchecked one" (calls + 1) (sim_calls ())
+
+let test_run_key_dse_njobs () =
+  (* A space whose three gain thresholds pick one table on unepic: the
+     shared simulations are the same at any worker count. *)
+  let space =
+    {
+      T1000_dse.Space.default with
+      T1000_dse.Space.ax_pfus = [ 1; 2 ];
+      ax_penalties = [ 0; 100 ];
+      ax_lut_budgets = [ 150 ];
+      ax_replacements = [ T1000_ooo.Mconfig.Lru ];
+      ax_gains = [ 0.001; 0.005; 0.02 ];
+      ax_widths = [ 4 ];
+    }
+  in
+  let explore njobs =
+    with_njobs (string_of_int njobs) @@ fun () ->
+    let ctx = Experiment.create_ctx ~workloads:[ workload "unepic" ] () in
+    let calls = sim_calls () in
+    let r =
+      T1000_dse.Engine.explore ~budget:(T1000_dse.Space.size space)
+        ~sample:`Full ctx space
+    in
+    (Format.asprintf "%a" T1000_dse.Engine.pp_frontier r,
+     List.length r.T1000_dse.Engine.measured,
+     sim_calls () - calls)
+  in
+  let f1, measured, calls1 = explore 1 in
+  let f2, _, calls2 = explore 2 in
+  check_bool "frontier identical" true (String.equal f1 f2);
+  check_int "phase.sim calls identical" calls1 calls2;
+  check_bool "fewer simulations than measured points" true (calls1 < measured)
+
 (* ---------- like-with-like speedups ---------- *)
 
 (* Every speedup is taken against the no-PFU baseline on the same
@@ -242,6 +374,13 @@ let () =
           Alcotest.test_case "selection-table cache" `Slow
             test_selection_cache;
           Alcotest.test_case "run cache" `Slow test_run_cache;
+          Alcotest.test_case "run key: gain thresholds share" `Slow
+            test_run_key_shares_gain;
+          Alcotest.test_case "run key: simulation inputs separate" `Slow
+            test_run_key_separates_inputs;
+          Alcotest.test_case "run key: selfcheck" `Slow test_run_key_selfcheck;
+          Alcotest.test_case "run key: dse at any worker count" `Slow
+            test_run_key_dse_njobs;
           Alcotest.test_case "speedup against a same-machine baseline" `Slow
             test_speedup_same_machine;
         ] );
