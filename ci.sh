@@ -138,6 +138,14 @@ FUZZ_DIR="$CKPT_DIR/fuzz"
 timeout 900 dune exec bin/t1000_cli.exe -- fuzz \
   --seed 42 --cases 100 --drills 10 --out "$FUZZ_DIR"
 
+echo "== fuzz: 2000 self-checked programs through the RUU wake paths =="
+# A second fixed seed, no drills: each case draws its PFU penalty
+# (0/1/10/100) and branch predictor at random and runs Sim.run under
+# self-check, so the scheduler's next-cycle list and heap are audited
+# on every cycle of 2000 programs.
+timeout 900 dune exec bin/t1000_cli.exe -- fuzz \
+  --seed 7 --cases 2000 --drills 0 --out "$CKPT_DIR/fuzz_seed7"
+
 echo "== fuzz: armed off-by-one is caught and shrunk =="
 # With the deliberate commit-count bug armed the same sweep must fail
 # (exit 3), write a reproducer artifact, and shrink it to a small

@@ -42,6 +42,14 @@ type t = {
   mutable h_ri : int array;
   mutable h_id : int array;
   mutable h_len : int;
+  (* Next-cycle list: (ring index, id) of entries whose ready cycle is
+     [nc_at], appended in enqueue order.  It takes the common case — no
+     unissued producer, [min_issue = now + 1] — off the heap.  Stale
+     records are discarded on drain, like heap records. *)
+  mutable nc_ri : int array;
+  mutable nc_id : int array;
+  mutable nc_len : int;
+  mutable nc_at : int;
   (* Waiter nodes: node [n] says "consumer at ring index [w_ri.(n)],
      dispatch [w_id.(n)], waits on the producer whose list holds n".
      Lists hang off [entry.waiters] and are threaded through [w_next];
@@ -103,6 +111,10 @@ let create ~size =
       h_ri = Array.make heap 0;
       h_id = Array.make heap 0;
       h_len = 0;
+      nc_ri = Array.make size 0;
+      nc_id = Array.make size 0;
+      nc_len = 0;
+      nc_at = 0;
       w_next = Array.make nodes (-1);
       w_ri = Array.make nodes 0;
       w_id = Array.make nodes 0;
@@ -245,9 +257,30 @@ let heap_pop t =
     t.h_id.(!i) <- id
   end
 
-(* All producers have issued: ready now, or at [ready_at]. *)
+(* Move a batch the caller has not drained with [wake] into the heap,
+   where it waits for its cycle exactly as if it had been pushed there. *)
+let spill_next_cycle t =
+  for i = 0 to t.nc_len - 1 do
+    heap_push t ~at:t.nc_at ~ri:t.nc_ri.(i) ~id:t.nc_id.(i)
+  done;
+  t.nc_len <- 0
+
+let next_cycle_push t e ~at =
+  if t.nc_len > 0 && t.nc_at <> at then spill_next_cycle t;
+  let cap = Array.length t.nc_ri in
+  if t.nc_len = cap then begin
+    t.nc_ri <- grow t.nc_ri cap 0;
+    t.nc_id <- grow t.nc_id cap 0
+  end;
+  t.nc_ri.(t.nc_len) <- e.ri;
+  t.nc_id.(t.nc_len) <- e.id;
+  t.nc_len <- t.nc_len + 1;
+  t.nc_at <- at
+
+(* All producers have issued: ready now, next cycle, or at [ready_at]. *)
 let enqueue t e ~now =
   if e.ready_at <= now then insert_ready t e
+  else if e.ready_at = now + 1 then next_cycle_push t e ~at:e.ready_at
   else heap_push t ~at:e.ready_at ~ri:e.ri ~id:e.id
 
 let alloc_node t =
@@ -295,9 +328,18 @@ let schedule t e ~now =
   if e.dep3 <> e.dep1 && e.dep3 <> e.dep2 then depend t e e.dep3;
   if e.pending = 0 then enqueue t e ~now
 
-let next_wake t = if t.h_len > 0 then t.h_at.(0) else max_int
+let next_wake t =
+  let h = if t.h_len > 0 then t.h_at.(0) else max_int in
+  if t.nc_len > 0 && t.nc_at < h then t.nc_at else h
 
 let wake t ~now =
+  if t.nc_len > 0 && t.nc_at <= now then begin
+    for i = 0 to t.nc_len - 1 do
+      let e = t.ring.(t.nc_ri.(i)) in
+      if e.id = t.nc_id.(i) then insert_ready t e
+    done;
+    t.nc_len <- 0
+  end;
   while t.h_len > 0 && t.h_at.(0) <= now do
     let ri = t.h_ri.(0) and id = t.h_id.(0) in
     heap_pop t;
@@ -379,6 +421,64 @@ let audit_ready t ~now =
     end
   in
   go t.head t.first
+
+let audit_waiting t =
+  (* live records per ring index, and the cycle the last one carries *)
+  let count = Array.make (Array.length t.ring) 0 in
+  let rec_at = Array.make (Array.length t.ring) 0 in
+  let note ri id at =
+    if t.ring.(ri).id = id then begin
+      count.(ri) <- count.(ri) + 1;
+      rec_at.(ri) <- at
+    end
+  in
+  for i = 0 to t.nc_len - 1 do
+    note t.nc_ri.(i) t.nc_id.(i) t.nc_at
+  done;
+  for i = 0 to t.h_len - 1 do
+    note t.h_ri.(i) t.h_id.(i) t.h_at.(i)
+  done;
+  let wake_at = next_wake t in
+  let rec go seq =
+    if seq >= t.tail then None
+    else begin
+      let e = t.ring.(seq land t.mask) in
+      let n = count.(e.ri) in
+      count.(e.ri) <- 0;
+      let waiting = (not e.issued) && e.pending = 0 && not e.in_ready in
+      if waiting && n <> 1 then
+        Some
+          (Printf.sprintf
+             "seq %d (slot %d) waits for cycle %d with %d live wake records"
+             seq e.slot e.ready_at n)
+      else if (not waiting) && n > 0 then
+        Some
+          (Printf.sprintf "seq %d (slot %d) is not waiting but has %d live \
+                           wake records"
+             seq e.slot n)
+      else if waiting && rec_at.(e.ri) <> e.ready_at then
+        Some
+          (Printf.sprintf "seq %d (slot %d) is ready at cycle %d but its wake \
+                           record says %d"
+             seq e.slot e.ready_at rec_at.(e.ri))
+      else if waiting && wake_at > e.ready_at then
+        Some
+          (Printf.sprintf "next wake %d is after seq %d's ready cycle %d"
+             wake_at seq e.ready_at)
+      else go (seq + 1)
+    end
+  in
+  match go t.head with
+  | Some _ as v -> v
+  | None -> (
+      (* the window's counts were cleared: what is left is outside it *)
+      match Array.find_index (fun n -> n > 0) count with
+      | Some ri ->
+          Some
+            (Printf.sprintf "ring slot %d is outside the window but has a live \
+                             wake record"
+               ri)
+      | None -> None)
 
 let selfcheck t =
   if t.head > t.tail then

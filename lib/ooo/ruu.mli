@@ -16,9 +16,15 @@
     producers that already issued contribute their result cycle.  When
     the last producer issues ({!issue}) the entry's {e ready cycle} is
     final: [max(min_issue, every producer's complete_at)].  Entries
-    whose ready cycle has come sit in a seq-ordered {e ready list};
-    later ones wait in a min-heap on the ready cycle, and {!wake} moves
-    them over at the start of each issue pass.
+    whose ready cycle has come sit in a seq-ordered {e ready list}.
+    Entries ready exactly one cycle later — every dispatch with no
+    unissued producer, and most consumers of 1-cycle producers — wait
+    in a flat {e next-cycle list} stamped with that cycle; later ones
+    wait in a min-heap on the ready cycle.  {!wake} moves due entries
+    from both over at the start of each issue pass.  If a caller
+    enqueues for a new cycle while an older batch is still undrained,
+    the batch is spilled into the heap first, so a skipped {!wake}
+    loses or delays nothing.
 
     This reproduces the old per-cycle predicate exactly.  A producer
     leaves the window only after its result is available, so "every
@@ -32,8 +38,8 @@
     list behind the producer, where the same walk reaches it.
 
     Squash ({!truncate}) can hand a dropped sequence number to a new
-    entry, so heap and waiter records name their entry by a
-    per-dispatch [id] that is never reused; records of dropped
+    entry, so next-cycle, heap and waiter records name their entry by
+    a per-dispatch [id] that is never reused; records of dropped
     entries are recognised by a mismatched id and discarded. *)
 
 type entry = {
@@ -127,13 +133,16 @@ val schedule : t -> entry -> now:int -> unit
 
 val wake : t -> now:int -> unit
 (** Move every entry whose ready cycle is [<= now] onto the ready
-    list.  Call once at the start of each issue pass. *)
+    list, from the next-cycle list and from the heap.  Call once at the
+    start of each issue pass; it must run at every cycle [>= next_wake]
+    that issues, or entries due then are not on the ready list. *)
 
 val next_wake : t -> int
-(** The earliest ready cycle waiting in the heap, [max_int] when it is
-    empty: no entry joins the ready list before this cycle unless an
-    issue or a dispatch happens first.  The record may belong to a
-    squashed entry, so the bound is conservative, never late. *)
+(** The earliest ready cycle waiting in the next-cycle list or the
+    heap, whichever is earlier, [max_int] when both are empty: no entry
+    joins the ready list before this cycle unless an issue or a
+    dispatch happens first.  The record may belong to a squashed entry,
+    so the bound is conservative, never late. *)
 
 val first_ready : t -> int
 (** Ring index of the oldest ready entry, -1 if none.  Walk on with
@@ -144,7 +153,7 @@ val issue : t -> entry -> now:int -> latency:int -> unit
     the ready list (its [next_ready] still names its successor, so a
     walk can continue from it) and wake its consumers, which join the
     ready list — behind it, within this pass, when their ready cycle
-    is [now] — or the heap. *)
+    is [now] — the next-cycle list, or the heap. *)
 
 (** {2 Audits} *)
 
@@ -155,6 +164,17 @@ val audit_ready : t -> now:int -> string option
     the scheduler replaced (kept here as the reference, used nowhere
     else), in seq order.  [None] when it does, [Some description] of
     the first difference otherwise. *)
+
+val audit_waiting : t -> string option
+(** Waiting-set check for the simulator's self-check mode, valid
+    between any two calls: every unissued window entry with no
+    unissued producer that is not on the ready list has exactly one
+    live wake record, in the next-cycle list or in the heap, carrying
+    its [id] and its [ready_at], and {!next_wake} is no later than that
+    [ready_at]; no other entry, in the window or out of it, has a live
+    record.  It catches a lost or duplicated record while the entry is
+    still waiting, before {!audit_ready} could.  [None] when it holds,
+    [Some description] of the first difference otherwise. *)
 
 val selfcheck : t -> string option
 (** Structural-invariant audit used by the simulator's opt-in

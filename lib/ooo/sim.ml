@@ -212,6 +212,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     violation "ruu" (Ruu.selfcheck ruu);
     violation "pfu file" (Pfu_file.selfcheck pfus)
   in
+  let audit_scheduler now =
+    violation "scheduler" (Ruu.audit_ready ruu ~now);
+    violation "scheduler" (Ruu.audit_waiting ruu)
+  in
 
   let commit_stage () =
     let n = ref 0 in
@@ -264,7 +268,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let issue_stage () =
     let now = !now in
     Ruu.wake ruu ~now;
-    if selfcheck then violation "scheduler" (Ruu.audit_ready ruu ~now);
+    if selfcheck then audit_scheduler now;
     let alu_free = ref mconfig.Mconfig.n_int_alu in
     let mult_free = ref mconfig.Mconfig.n_int_mult in
     let mem_free = ref mconfig.Mconfig.n_mem_ports in
@@ -316,7 +320,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       ri := e.Ruu.next_ready
     done;
     if !issued > 0 then live := true;
-    if selfcheck then violation "scheduler" (Ruu.audit_ready ruu ~now)
+    if selfcheck then audit_scheduler now
   in
 
   (* Misprediction recovery.  Runs before [commit_stage] every cycle,

@@ -106,8 +106,9 @@ val run :
     [~selfcheck:true] additionally audits the RUU and PFU-file
     structural invariants after every committing cycle
     ({!Ruu.selfcheck}, {!Pfu_file.selfcheck}) and the issue
-    scheduler's ready list at the start and end of every issue pass
-    ({!Ruu.audit_ready}), and executes every dead cycle instead of
+    scheduler's ready list and waiting set at the start and end of
+    every issue pass ({!Ruu.audit_ready}, {!Ruu.audit_waiting}), and
+    executes every dead cycle instead of
     skipping it, checking that each one repeats the quiet cycle that
     opened its span until the predicted event horizon.  It raises
     {!Selfcheck_violation} on the first violation.  Statistics are

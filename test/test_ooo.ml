@@ -256,6 +256,198 @@ let test_ruu_odd_sizes () =
       check_int (name "seqs issued") (6 * size) (Ruu.tail_seq r))
     [ 3; 48 ]
 
+(* Scheduler helpers for the direct cases below: dispatch an entry the
+   way [Sim] does, and read the ready list back as seqs. *)
+let dispatch r ~now ?(dep = -1) min_issue =
+  let e = Ruu.push r in
+  e.Ruu.min_issue <- min_issue;
+  e.Ruu.dep1 <- dep;
+  Ruu.schedule r e ~now;
+  e
+
+let ready_seqs r =
+  let rec go ri acc =
+    if ri < 0 then List.rev acc
+    else
+      let e = Ruu.at r ri in
+      go e.Ruu.next_ready (e.Ruu.seq :: acc)
+  in
+  go (Ruu.first_ready r) []
+
+let audits r ~now =
+  List.iter
+    (fun (what, v) ->
+      match v with
+      | None -> ()
+      | Some m -> Alcotest.failf "cycle %d: %s: %s" now what m)
+    [
+      ("audit_ready", Ruu.audit_ready r ~now);
+      ("audit_waiting", Ruu.audit_waiting r);
+      ("selfcheck", Ruu.selfcheck r);
+    ]
+
+let check_seqs = Alcotest.(check (list int))
+
+(* A chain of 1-cycle producers: each link is ready exactly one cycle
+   after the previous one issues, as is an entry dispatched with no
+   producer, and both wait in the next-cycle list, not the heap.  Each
+   cycle the independent entry is enqueued before the older link, and
+   the ready list must still read oldest first. *)
+let test_ruu_next_cycle_chain () =
+  let r = Ruu.create ~size:16 in
+  let links = 5 in
+  let prev = ref (dispatch r ~now:0 1) in
+  for _ = 2 to links do
+    prev := dispatch r ~now:0 ~dep:!prev.Ruu.seq 1
+  done;
+  check_int "next wake: the dispatch batch" 1 (Ruu.next_wake r);
+  audits r ~now:0;
+  let independents now = List.init (now - 1) (fun i -> links + i) in
+  for now = 1 to links - 1 do
+    Ruu.wake r ~now;
+    audits r ~now;
+    let cycle fmt = Printf.sprintf ("cycle %d: " ^^ fmt) now in
+    check_seqs (cycle "ready list")
+      ((now - 1) :: independents now)
+      (ready_seqs r);
+    let link = Ruu.at r (Ruu.first_ready r) in
+    ignore (dispatch r ~now (now + 1));
+    Ruu.issue r link ~now ~latency:1;
+    check_int (cycle "next wake") (now + 1) (Ruu.next_wake r);
+    audits r ~now
+  done;
+  Ruu.wake r ~now:links;
+  audits r ~now:links;
+  check_seqs "last link and the independents, in seq order"
+    ((links - 1) :: independents links)
+    (ready_seqs r);
+  check_int "the list drained" max_int (Ruu.next_wake r)
+
+(* A squash between enqueue and drain, and a push that reuses the seq
+   and ring slot in the same cycle: the stale record must be dropped
+   and the new entry's record honoured, once. *)
+let test_ruu_next_cycle_squash () =
+  let r = Ruu.create ~size:4 in
+  let old = dispatch r ~now:0 1 in
+  let old_id = old.Ruu.id in
+  Ruu.truncate r ~tail:0;
+  let fresh = dispatch r ~now:0 1 in
+  check_bool "same ring slot" true (old == fresh);
+  check_bool "new id" true (fresh.Ruu.id <> old_id);
+  audits r ~now:0;
+  Ruu.wake r ~now:1;
+  audits r ~now:1;
+  check_seqs "seq 0 ready once" [ 0 ] (ready_seqs r);
+  (* the same again, with the new entry waiting in the heap *)
+  Ruu.issue r fresh ~now:1 ~latency:1;
+  ignore (dispatch r ~now:1 2);
+  Ruu.truncate r ~tail:1;
+  ignore (dispatch r ~now:1 5);
+  audits r ~now:1;
+  check_int "next wake: the stale batch, conservatively" 2 (Ruu.next_wake r);
+  Ruu.wake r ~now:2;
+  audits r ~now:2;
+  check_seqs "the stale record woke nothing" [] (ready_seqs r);
+  check_int "next wake: the heap" 5 (Ruu.next_wake r);
+  Ruu.wake r ~now:5;
+  check_seqs "seq 1 ready at its own cycle" [ 1 ] (ready_seqs r);
+  audits r ~now:5
+
+(* A caller that skips [wake] and then dispatches or issues at a later
+   cycle: the undrained batch must neither raise nor be lost or
+   delayed. *)
+let test_ruu_skipped_wake () =
+  let r = Ruu.create ~size:8 in
+  ignore (dispatch r ~now:0 1);
+  (* no wake at cycle 1 *)
+  ignore (dispatch r ~now:1 2);
+  check_int "next wake: the undrained batch" 1 (Ruu.next_wake r);
+  check_bool "audit_waiting" true (Ruu.audit_waiting r = None);
+  Ruu.wake r ~now:2;
+  audits r ~now:2;
+  check_seqs "both batches ready" [ 0; 1 ] (ready_seqs r);
+  (* now through [issue]: a producer issued three cycles late *)
+  let r = Ruu.create ~size:8 in
+  let p = dispatch r ~now:0 0 in
+  ignore (dispatch r ~now:0 1);
+  ignore (dispatch r ~now:0 ~dep:p.Ruu.seq 0);
+  Ruu.issue r p ~now:3 ~latency:1;
+  check_int "next wake: the cycle-1 batch" 1 (Ruu.next_wake r);
+  check_bool "audit_waiting after the late issue" true
+    (Ruu.audit_waiting r = None);
+  Ruu.wake r ~now:3;
+  audits r ~now:3;
+  check_seqs "the cycle-1 entry, not delayed further" [ 1 ] (ready_seqs r);
+  check_int "next wake: the consumer" 4 (Ruu.next_wake r);
+  Ruu.wake r ~now:4;
+  audits r ~now:4;
+  check_seqs "and then the consumer" [ 1; 2 ] (ready_seqs r)
+
+(* Random push / schedule / issue / commit / truncate / wake sequences,
+   with some cycles left unwoken, audited after every step. *)
+let test_ruu_random_ops () =
+  List.iter
+    (fun size ->
+      let rng = Random.State.make [| 0x5eed; size |] in
+      let r = Ruu.create ~size in
+      let now = ref 0 and woken = ref true in
+      for step = 1 to 20_000 do
+        (match Random.State.int rng 6 with
+        | 0 ->
+            (* a new cycle, sometimes several, sometimes unwoken *)
+            now := !now + 1 + (if Random.State.int rng 8 = 0 then 2 else 0);
+            woken := Random.State.int rng 4 > 0;
+            if !woken then Ruu.wake r ~now:!now
+        | 1 | 2 ->
+            if not (Ruu.is_full r) then begin
+              let e = Ruu.push r in
+              let seq = e.Ruu.seq in
+              let dep () =
+                if seq = 0 || Random.State.bool rng then -1
+                else seq - 1 - Random.State.int rng (min seq 6)
+              in
+              e.Ruu.min_issue <- !now - 1 + Random.State.int rng 4;
+              e.Ruu.dep1 <- dep ();
+              e.Ruu.dep2 <- dep ();
+              e.Ruu.dep3 <- dep ();
+              Ruu.schedule r e ~now:!now
+            end
+        | 3 ->
+            (* issue one ready entry, oldest or second oldest *)
+            let ri = Ruu.first_ready r in
+            if ri >= 0 then begin
+              let e = Ruu.at r ri in
+              let e =
+                if e.Ruu.next_ready >= 0 && Random.State.bool rng then
+                  Ruu.at r e.Ruu.next_ready
+                else e
+              in
+              Ruu.issue r e ~now:!now ~latency:(Random.State.int rng 4)
+            end
+        | 4 ->
+            if not (Ruu.is_empty r) then begin
+              let h = Ruu.get r (Ruu.head_seq r) in
+              if h.Ruu.issued && h.Ruu.complete_at <= !now then
+                ignore (Ruu.pop r)
+            end
+        | _ ->
+            if Random.State.int rng 4 = 0 then begin
+              let lo = Ruu.head_seq r and hi = Ruu.tail_seq r in
+              Ruu.truncate r ~tail:(lo + Random.State.int rng (hi - lo + 1))
+            end);
+        let fail what m =
+          Alcotest.failf "size %d, step %d, cycle %d: %s: %s" size step !now
+            what m
+        in
+        Option.iter (fail "audit_waiting") (Ruu.audit_waiting r);
+        Option.iter (fail "selfcheck") (Ruu.selfcheck r);
+        if !woken then
+          Option.iter (fail "audit_ready") (Ruu.audit_ready r ~now:!now)
+      done;
+      check_bool (Printf.sprintf "size %d: entries committed" size) true
+        (Ruu.head_seq r > size))
+    [ 3; 48; 64 ]
+
 let test_sim_ruu_48_selfcheck () =
   (* A window of 48 under a real predictor, so squashes truncate the
      ring across its wrap points: the self-checked run (every cycle,
@@ -802,6 +994,60 @@ let test_sim_max_cycles () =
         s.Sim.reason = `Cycle_budget && s.Sim.limit = 10
     | _ -> false)
 
+(* ---------- Directed corpus ---------- *)
+
+(* Scheduler-directed programs under test/corpus: each runs through the
+   interpreter and through the self-checked simulator under every
+   predictor.  Extended instructions add their operands and take 0
+   cycles on unlimited PFUs. *)
+let corpus_dir = "corpus"
+
+let test_corpus () =
+  let files =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".s")
+    |> List.sort compare
+  in
+  check_bool "the corpus has its four programs" true (List.length files >= 4);
+  let ext_eval _ a b = Word.add a b in
+  let base = Mconfig.with_pfus ~penalty:0 None Mconfig.default in
+  List.iter
+    (fun file ->
+      let src =
+        In_channel.with_open_text (Filename.concat corpus_dir file)
+          In_channel.input_all
+      in
+      let p =
+        match Asm_text.parse ~name:file src with
+        | Ok p -> p
+        | Error m -> Alcotest.failf "%s: %s" file m
+      in
+      let steps =
+        T1000_machine.Interp.run (T1000_machine.Interp.create ~ext_eval p)
+      in
+      List.iter
+        (fun bpred ->
+          let name =
+            Printf.sprintf "%s under %s" file
+              (T1000_bpred.Predictor.spec_to_string bpred)
+          in
+          let mconfig = { base with Mconfig.bpred } in
+          let sim selfcheck =
+            Sim.run ~mconfig ~selfcheck ~ext_latency:(fun _ -> 0) ~ext_eval
+              ~init:(fun _ _ -> ())
+              p
+          in
+          let audited = sim true in
+          check_int (name ^ ": committed = interpreter steps") steps
+            audited.Stats.committed;
+          check_bool (name ^ ": stats equal with and without selfcheck") true
+            (audited = sim false);
+          let squashy = file = "branchy_loop.s" in
+          if squashy && not (T1000_bpred.Predictor.is_perfect bpred) then
+            check_bool (name ^ ": squashes") true (audited.Stats.squashes > 0))
+        T1000_bpred.Predictor.[ Perfect; Bimodal 11; Gshare 11 ])
+    files
+
 let test_stats_speedup () =
   let base = run (build (fun b -> Builder.li b R.t0 1; Builder.halt b)) in
   check_bool "speedup vs self is 1" true
@@ -827,6 +1073,13 @@ let () =
           Alcotest.test_case "field reset" `Quick test_ruu_fields_reset;
           Alcotest.test_case "sizes not a power of two" `Quick
             test_ruu_odd_sizes;
+          Alcotest.test_case "next-cycle chain" `Quick
+            test_ruu_next_cycle_chain;
+          Alcotest.test_case "squash before the next-cycle drain" `Quick
+            test_ruu_next_cycle_squash;
+          Alcotest.test_case "skipped wake" `Quick test_ruu_skipped_wake;
+          Alcotest.test_case "randomized operations under audit" `Quick
+            test_ruu_random_ops;
         ] );
       ( "sim",
         [
@@ -864,4 +1117,5 @@ let () =
           Alcotest.test_case "max cycles" `Quick test_sim_max_cycles;
           Alcotest.test_case "speedup" `Quick test_stats_speedup;
         ] );
+      ("corpus", [ Alcotest.test_case "directed programs" `Quick test_corpus ]);
     ]
