@@ -11,20 +11,6 @@
 
 open Cmdliner
 
-(* Map the fault taxonomy onto process exit codes (2 = misconfigured
-   run, 3 = simulation fault / partial results) instead of dying with a
-   raw OCaml backtrace. *)
-let with_faults f =
-  try f () with
-  | T1000.Fault.Error fault ->
-      Format.eprintf "t1000_cli: %s@." (T1000.Fault.to_string fault);
-      exit (T1000.Fault.exit_code fault)
-  | ( T1000_ooo.Sim.Sim_stuck _ | T1000_ooo.Sim.Selfcheck_violation _
-    | T1000_machine.Interp.Fault _ ) as e ->
-      let fault = T1000.Fault.of_exn e in
-      Format.eprintf "t1000_cli: %s@." (T1000.Fault.to_string fault);
-      exit (T1000.Fault.exit_code fault)
-
 (* Surface a bad T1000_* environment variable as a one-line error (exit
    code 2) before any command runs, instead of an exception mid-sweep. *)
 let validate_env () =
@@ -55,158 +41,6 @@ let validate_env () =
       Format.eprintf "t1000_cli: %s@." (T1000.Fault.to_string fault);
       exit 2
 
-(* --trace FILE: switch the span tracer on and write the Chrome trace
-   at process exit.  Registered via at_exit, not Fun.protect, so the
-   trace still lands on the fault paths that call [exit 2]/[exit 3]. *)
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record span traces and write a Chrome trace-event JSON file \
-           (loadable in Perfetto or chrome://tracing) at exit.  Strictly \
-           observational: stdout is byte-identical with and without this \
-           flag.")
-
-let setup_trace = function
-  | None -> ()
-  | Some path ->
-      T1000.Obs.Tracer.set_enabled true;
-      at_exit (fun () ->
-          T1000.Obs.Tracer.write_chrome path;
-          Format.eprintf "t1000_cli: trace written to %s@." path)
-
-(* The suite the experiment engine runs on: all workloads, or the
-   T1000_WORKLOADS subset, which validate_env has already checked. *)
-let suite_workloads () = Result.get_ok (T1000_workloads.Registry.of_env ())
-
-let find_workload name =
-  match T1000_workloads.Registry.find name with
-  | Some w -> Ok w
-  | None ->
-      Error
-        (Printf.sprintf "unknown workload %S (try: %s)" name
-           (String.concat ", " T1000_workloads.Registry.names))
-
-let workload_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (find_workload s)),
-      fun ppf w ->
-        Format.pp_print_string ppf w.T1000_workloads.Workload.name )
-
-let workload_arg =
-  Arg.(
-    required
-    & pos 0 (some workload_conv) None
-    & info [] ~docv:"WORKLOAD" ~doc:"Benchmark name (see $(b,list)).")
-
-let method_arg =
-  let parse = function
-    | "baseline" -> Ok T1000.Runner.Baseline
-    | "greedy" -> Ok T1000.Runner.Greedy
-    | "selective" -> Ok T1000.Runner.Selective
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf
-      (match m with
-      | T1000.Runner.Baseline -> "baseline"
-      | T1000.Runner.Greedy -> "greedy"
-      | T1000.Runner.Selective -> "selective")
-  in
-  let method_conv = Arg.conv (parse, print) in
-  Arg.(
-    value
-    & opt method_conv T1000.Runner.Selective
-    & info [ "m"; "method" ] ~docv:"METHOD"
-        ~doc:"Selection algorithm: baseline, greedy or selective.")
-
-let pfus_arg =
-  let parse = function
-    | "unlimited" -> Ok None
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok (Some n)
-        | Some _ | None -> Error (`Msg "PFUS must be a count or 'unlimited'"))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "unlimited"
-    | Some n -> Format.pp_print_int ppf n
-  in
-  let pfus_conv = Arg.conv (parse, print) in
-  Arg.(
-    value
-    & opt pfus_conv (Some 2)
-    & info [ "p"; "pfus" ] ~docv:"PFUS"
-        ~doc:"Number of PFUs, or 'unlimited'.")
-
-let penalty_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "r"; "penalty" ] ~docv:"CYCLES"
-        ~doc:"PFU reconfiguration penalty in cycles.")
-
-let selfcheck_arg =
-  Arg.(
-    value & flag
-    & info [ "selfcheck" ]
-        ~doc:
-          "Audit the simulator's RUU/PFU-file invariants at every commit \
-           and cross-validate architectural results against the \
-           functional interpreter (also: $(b,T1000_SELFCHECK=1)).")
-
-let setup_of ?selfcheck method_ pfus penalty =
-  T1000.Runner.setup ~n_pfus:pfus ~penalty ?selfcheck method_
-
-(* Only force self-check on when the flag is given; otherwise leave the
-   T1000_SELFCHECK environment default in charge. *)
-let selfcheck_opt flag = if flag then Some true else None
-
-(* --bpred KIND[:BITS]: parsed here rather than by a cmdliner
-   converter so a bad value exits 2 (misconfiguration), then exported
-   as T1000_BPRED so Runner.setup — in this process and in every
-   worker domain — picks it up. *)
-let bpred_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bpred" ] ~docv:"KIND[:BITS]"
-        ~doc:
-          "Branch predictor for the speculative front end: 'perfect' \
-           (default: exact trace-driven fetch), 'static', \
-           'bimodal[:BITS]' or 'gshare[:BITS]' (also: \
-           $(b,T1000_BPRED)).  Non-perfect predictors fetch down the \
-           predicted path and squash wrong-path work on resolution.")
-
-let apply_bpred = function
-  | None -> ()
-  | Some s -> (
-      match T1000_bpred.Predictor.spec_of_string s with
-      | Ok spec ->
-          Unix.putenv "T1000_BPRED" (T1000_bpred.Predictor.spec_to_string spec)
-      | Error e ->
-          Format.eprintf "t1000_cli: --bpred: %s@." e;
-          exit 2)
-
-(* -j/--jobs for the engine-driven commands (experiment, dse, fuzz),
-   exported as T1000_NJOBS like --bpred.  serve and supervise keep their
-   own -j: it feeds Server.config, which validates it. *)
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains (overrides $(b,T1000_NJOBS); 1 = sequential).")
-
-let apply_jobs = function
-  | Some n when n < 1 ->
-      Format.eprintf "t1000_cli: -j/--jobs must be >= 1, got %d@." n;
-      exit 2
-  | Some n -> Unix.putenv "T1000_NJOBS" (string_of_int n)
-  | None -> ()
-
 let resume_arg =
   Arg.(
     value & flag
@@ -236,6 +70,18 @@ let open_journal ~resume ~run =
         (T1000.Checkpoint.corrupt j);
       Some j
 
+(* The one-shot commands evaluate through an Experiment ctx, the path
+   the figure drivers and the serve daemon take. *)
+let one_shot w = T1000.Experiment.create_ctx ~workloads:[ w ] ()
+
+(* The no-PFU baseline on the setup's own machine, then the setup. *)
+let evaluate w s =
+  let ctx = one_shot w in
+  let baseline =
+    T1000.Experiment.baseline_for ctx w s.T1000.Runner.machine
+  in
+  (baseline, T1000.Experiment.run_setup ctx w s)
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -257,13 +103,14 @@ let disasm_cmd =
       w.T1000_workloads.Workload.program
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a kernel.")
-    Term.(const run $ workload_arg)
+    Term.(const run $ Opts.workload)
 
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run w =
-    let a = T1000.Runner.analyze w in
+  let run () w =
+    Opts.with_faults @@ fun () ->
+    let a = T1000.Experiment.analysis (one_shot w) w in
     Format.printf "%d dynamic instructions, serial weight %d@."
       (T1000_profile.Profile.total_instrs a.T1000.Runner.profile)
       (T1000_profile.Profile.total_weight a.T1000.Runner.profile);
@@ -275,18 +122,14 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Profile a kernel (counts and bitwidths).")
-    Term.(const run $ workload_arg)
+    Term.(const run $ Opts.env $ Opts.workload)
 
 (* ---- mine ---- *)
 
 let mine_cmd =
-  let run w method_ pfus penalty bpred save =
-    with_faults @@ fun () ->
-    apply_bpred bpred;
-    let r =
-      T1000.Runner.run ~analysis:(T1000.Runner.analyze w) w
-        (setup_of method_ pfus penalty)
-    in
+  let run w s save =
+    Opts.with_faults @@ fun () ->
+    let r = T1000.Experiment.run_setup (one_shot w) w s in
     Format.printf "%a@." T1000_select.Extinstr.pp r.T1000.Runner.table;
     List.iter
       (fun e ->
@@ -313,42 +156,33 @@ let mine_cmd =
   Cmd.v
     (Cmd.info "mine"
        ~doc:"Show the extended instructions a selection algorithm chooses.")
-    Term.(const run $ workload_arg $ method_arg $ pfus_arg $ penalty_arg $ bpred_arg $ save)
+    Term.(const run $ Opts.workload $ Opts.setup $ save)
 
 (* ---- replay ---- *)
 
 let replay_cmd =
-  let run w path pfus penalty bpred =
-    with_faults @@ fun () ->
-    apply_bpred bpred;
+  let run w path s =
+    Opts.with_faults @@ fun () ->
     let text = In_channel.with_open_text path In_channel.input_all in
     match T1000_select.Extinstr.of_text text with
     | Error msg ->
         Format.eprintf "cannot load %s: %s@." path msg;
         exit 1
     | Ok table ->
-        let rw = T1000_select.Rewrite.apply w.T1000_workloads.Workload.program table in
-        T1000.Runner.verify_outputs w table rw.T1000_select.Rewrite.program;
-        (* Runner.setup validates the PFU flags and picks up the
-           T1000_BPRED predictor *)
-        let s = setup_of T1000.Runner.Selective pfus penalty in
-        let machine =
-          T1000_ooo.Mconfig.with_pfus ~penalty pfus s.T1000.Runner.machine
-        in
-        let ext_latency eid =
-          (T1000_select.Extinstr.get table eid).T1000_select.Extinstr.latency
-        in
-        let stats =
-          T1000_ooo.Sim.run ~mconfig:machine ~ext_latency
-            ~ext_eval:(T1000_select.Extinstr.eval table)
-            ~init:(fun mem regs -> w.T1000_workloads.Workload.init mem regs)
-            rw.T1000_select.Rewrite.program
+        (* Runner.run checks the rewritten program's output against
+           the original's, as for a table it selected itself. *)
+        let r = T1000.Runner.run ~table w s in
+        let collapsed =
+          Array.fold_left
+            (fun n -> function T1000_isa.Instr.Ext _ -> n + 1 | _ -> n)
+            0
+            (T1000_asm.Program.instrs r.T1000.Runner.program)
         in
         Format.printf
           "replayed %d configurations (%d sites collapsed, outputs \
            verified)@.%a@."
           (T1000_select.Extinstr.count table)
-          rw.T1000_select.Rewrite.collapsed T1000_ooo.Stats.pp stats
+          collapsed T1000_ooo.Stats.pp r.T1000.Runner.stats
   in
   let path =
     Arg.(
@@ -361,24 +195,16 @@ let replay_cmd =
        ~doc:
          "Rewrite and simulate a workload with a previously saved \
           extended-instruction table (the paper's second input file).")
-    Term.(const run $ workload_arg $ path $ pfus_arg $ penalty_arg $ bpred_arg)
+    Term.(
+      const run $ Opts.workload $ path
+      $ Opts.setup_with (Term.const T1000.Runner.Selective))
 
 (* ---- run ---- *)
 
 let run_cmd =
-  let run w method_ pfus penalty selfcheck bpred trace =
-    with_faults @@ fun () ->
-    setup_trace trace;
-    apply_bpred bpred;
-    let selfcheck = selfcheck_opt selfcheck in
-    let analysis = T1000.Runner.analyze w in
-    let baseline =
-      T1000.Runner.run ~analysis w
-        (T1000.Runner.setup ?selfcheck T1000.Runner.Baseline)
-    in
-    let r =
-      T1000.Runner.run ~analysis w (setup_of ?selfcheck method_ pfus penalty)
-    in
+  let run w s =
+    Opts.with_faults @@ fun () ->
+    let baseline, r = evaluate w s in
     Format.printf "baseline:@.%a@.@." T1000_ooo.Stats.pp
       baseline.T1000.Runner.stats;
     Format.printf "with PFUs:@.%a@.@." T1000_ooo.Stats.pp
@@ -387,22 +213,21 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a workload and report the speedup.")
-    Term.(
-      const run $ workload_arg $ method_arg $ pfus_arg $ penalty_arg
-      $ selfcheck_arg $ bpred_arg $ trace_arg)
+    Term.(const run $ Opts.workload $ Opts.setup)
 
 (* ---- dot ---- *)
 
 let dot_cmd =
-  let run w what =
+  let run () w what =
     match what with
-    | "cfg" ->
+    | `Cfg ->
         print_string
           (T1000_asm.Cfg.to_dot
              (T1000_asm.Cfg.of_program w.T1000_workloads.Workload.program))
-    | "ext" ->
+    | `Ext ->
+        Opts.with_faults @@ fun () ->
         let r =
-          T1000.Runner.run ~analysis:(T1000.Runner.analyze w) w
+          T1000.Experiment.run_setup (one_shot w) w
             (T1000.Runner.setup ~n_pfus:(Some 4) T1000.Runner.Selective)
         in
         List.iter
@@ -412,22 +237,21 @@ let dot_cmd =
                  ~name:(Printf.sprintf "ext%d" e.T1000_select.Extinstr.eid)
                  e.T1000_select.Extinstr.dfg))
           (T1000_select.Extinstr.entries r.T1000.Runner.table)
-    | other -> Format.eprintf "expected 'cfg' or 'ext', got %S@." other
   in
   let what =
     Arg.(
       value
-      & pos 1 string "cfg"
+      & pos 1 (enum [ ("cfg", `Cfg); ("ext", `Ext) ]) `Cfg
       & info [] ~docv:"WHAT" ~doc:"What to render: cfg or ext.")
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit Graphviz for a kernel's CFG or its mined DFGs.")
-    Term.(const run $ workload_arg $ what)
+    Term.(const run $ Opts.env $ Opts.workload $ what)
 
 (* ---- experiment ---- *)
 
 let experiment_cmd =
-  let run jobs resume selfcheck bpred trace ids =
+  let run () resume ids =
     (match
        List.filter (fun id -> not (List.mem id T1000.Report.artifact_ids)) ids
      with
@@ -437,11 +261,9 @@ let experiment_cmd =
           (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
           (String.concat " " T1000.Report.artifact_ids);
         exit 2);
-    setup_trace trace;
-    apply_bpred bpred;
-    apply_jobs jobs;
-    if selfcheck then Unix.putenv "T1000_SELFCHECK" "1";
-    let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+    let ctx =
+      T1000.Experiment.create_ctx ~workloads:(Opts.suite_workloads ()) ()
+    in
     let faults = ref [] in
     let dispatch id =
       (* one journal file per experiment id *)
@@ -450,7 +272,7 @@ let experiment_cmd =
       faults := !faults @ fs;
       Format.printf "%s@." text
     in
-    with_faults (fun () -> List.iter dispatch ids);
+    Opts.with_faults (fun () -> List.iter dispatch ids);
     match !faults with
     | [] -> ()
     | fs ->
@@ -465,16 +287,12 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables/figures.")
-    Term.(
-      const run $ jobs_arg $ resume_arg $ selfcheck_arg $ bpred_arg $ trace_arg
-      $ ids)
+    Term.(const run $ Opts.env $ resume_arg $ ids)
 
 (* ---- dse ---- *)
 
 let dse_cmd =
-  let run jobs resume budget axes full json trace =
-    setup_trace trace;
-    apply_jobs jobs;
+  let run () resume budget axes full json =
     if budget < 1 then begin
       Format.eprintf "t1000_cli: --budget must be >= 1, got %d@." budget;
       exit 2
@@ -489,9 +307,11 @@ let dse_cmd =
               Format.eprintf "t1000_cli: bad --axes: %s@." msg;
               exit 2)
     in
-    with_faults @@ fun () ->
+    Opts.with_faults @@ fun () ->
     let journal = open_journal ~resume ~run:"dse" in
-    let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+    let ctx =
+      T1000.Experiment.create_ctx ~workloads:(Opts.suite_workloads ()) ()
+    in
     let r =
       T1000_dse.Engine.explore ?journal ~budget
         ~sample:(if full then `Full else `Coarse)
@@ -557,26 +377,17 @@ let dse_cmd =
           (geomean speedup, LUT area, PFU count) over the PFU-count x \
           penalty x LUT-budget x replacement x gain x machine-width space, \
           with dominance pruning, checkpoint/resume and worker-pool fan-out.")
-    Term.(
-      const run $ jobs_arg $ resume_arg $ budget $ axes $ full $ json
-      $ trace_arg)
+    Term.(const run $ Opts.env $ resume_arg $ budget $ axes $ full $ json)
 
 (* ---- stats ---- *)
 
 let stats_cmd =
-  let run w method_ pfus penalty bpred =
-    with_faults @@ fun () ->
-    apply_bpred bpred;
+  let run w s =
+    Opts.with_faults @@ fun () ->
     T1000.Obs.Metrics.reset ();
     T1000.Obs.Tracer.reset ();
     T1000.Obs.Tracer.set_enabled true;
-    let analysis = T1000.Runner.analyze w in
-    let baseline =
-      T1000.Runner.run ~analysis w (T1000.Runner.setup T1000.Runner.Baseline)
-    in
-    let r =
-      T1000.Runner.run ~analysis w (setup_of method_ pfus penalty)
-    in
+    let baseline, r = evaluate w s in
     Format.printf "speedup: %.3f@.@." (T1000.Runner.speedup ~baseline r);
     Format.printf "metrics:@.%a@." T1000.Obs.Metrics.pp
       (T1000.Obs.Metrics.snapshot ());
@@ -589,9 +400,7 @@ let stats_cmd =
           on, and dump the merged metric snapshot and span summary \
           (under $(b,--bpred), includes the sim.bpred.* speculation \
           counters).")
-    Term.(
-      const run $ workload_arg $ method_arg $ pfus_arg $ penalty_arg
-      $ bpred_arg)
+    Term.(const run $ Opts.workload $ Opts.setup)
 
 (* ---- trace-check ---- *)
 
@@ -630,9 +439,8 @@ let trace_check_cmd =
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
-  let run jobs seed cases chaos drills out_dir =
-    apply_jobs jobs;
-    with_faults @@ fun () ->
+  let run () seed cases chaos drills out_dir =
+    Opts.with_faults @@ fun () ->
     Format.printf "fuzz: seed %d, %d differential case(s), %d drill(s)%s@."
       seed cases drills
       (match chaos with
@@ -720,7 +528,7 @@ let fuzz_cmd =
           the whole pipeline against the functional interpreter, with \
           shrinking, checkpoint corruption drills and an optional chaos \
           soak.")
-    Term.(const run $ jobs_arg $ seed $ cases $ chaos $ drills $ out_dir)
+    Term.(const run $ Opts.env $ seed $ cases $ chaos $ drills $ out_dir)
 
 (* ---- serve / client ---- *)
 
@@ -732,11 +540,12 @@ let addr_conv =
         Format.pp_print_string ppf (T1000_serve.Server.addr_to_string a) )
 
 let serve_cmd =
-  let run socket tcp queue jobs deadline retries max_steps trace =
-    with_faults @@ fun () ->
-    setup_trace trace;
+  let run () socket tcp max_steps =
+    Opts.with_faults @@ fun () ->
     (* A client that disconnects mid-reply must not kill the daemon. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    (* Queue depth, workers and the default deadline come from the
+       environment, where [Opts.env] has put their flags. *)
     let base = T1000_serve.Server.default_config () in
     let addrs =
       (match socket with
@@ -744,26 +553,13 @@ let serve_cmd =
       | None -> [])
       @ (match tcp with Some a -> [ a ] | None -> [])
     in
-    let addrs =
-      if addrs <> [] then addrs else base.T1000_serve.Server.addrs
-    in
     let cfg =
       {
-        T1000_serve.Server.addrs;
-        queue_depth =
-          Option.value queue ~default:base.T1000_serve.Server.queue_depth;
-        njobs = Option.value jobs ~default:base.T1000_serve.Server.njobs;
-        default_deadline_ms =
-          (match deadline with
-          | Some _ -> deadline
-          | None -> base.T1000_serve.Server.default_deadline_ms);
-        retries =
-          (match retries with
-          | Some _ -> retries
-          | None -> base.T1000_serve.Server.retries);
+        base with
+        T1000_serve.Server.addrs =
+          (if addrs <> [] then addrs else base.T1000_serve.Server.addrs);
         max_steps =
           Option.value max_steps ~default:base.T1000_serve.Server.max_steps;
-        memo_cap = base.T1000_serve.Server.memo_cap;
       }
     in
     let t = T1000_serve.Server.create cfg in
@@ -795,40 +591,6 @@ let serve_cmd =
             "Listen on $(docv) (tcp:HOST:PORT; port 0 binds an ephemeral \
              port, printed at startup).")
   in
-  let queue =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Admission queue depth; a full queue sheds with a typed \
-             'overloaded' reply (also: $(b,T1000_SERVE_QUEUE)).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (also: $(b,T1000_NJOBS)).")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"MS"
-          ~doc:
-            "Default per-request wall-clock deadline in milliseconds, for \
-             requests that carry none (also: $(b,T1000_SERVE_DEADLINE_MS)).")
-  in
-  let retries =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Transient-fault retries per request (also: \
-             $(b,T1000_RETRIES)).")
-  in
   let max_steps =
     Arg.(
       value
@@ -845,52 +607,36 @@ let serve_cmd =
           requests over Unix/TCP sockets, bounded admission with typed \
           shedding, per-request deadlines, fault isolation, and graceful \
           drain on SIGTERM.")
-    Term.(
-      const run $ socket $ tcp $ queue $ jobs $ deadline $ retries
-      $ max_steps $ trace_arg)
+    Term.(const run $ Opts.env $ socket $ tcp $ max_steps)
 
 let supervise_cmd =
-  let run replicas socket_dir restarts health_ms grace queue jobs deadline
-      max_steps trace =
-    with_faults @@ fun () ->
-    setup_trace trace;
+  let run () replicas socket_dir restarts health_ms grace max_steps =
+    Opts.with_faults @@ fun () ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    (* --replicas, --restarts and --health-ms are env twins as well,
+       read back by [default_config]. *)
+    Opts.twin ~flag:"--replicas" "T1000_SUPERVISE_REPLICAS"
+      ~read:T1000_serve.Supervisor.env_replicas string_of_int replicas;
+    Opts.twin ~flag:"--restarts" "T1000_SUPERVISE_RESTARTS"
+      ~read:T1000_serve.Supervisor.env_restarts string_of_int restarts;
+    Opts.twin ~flag:"--health-ms" "T1000_SUPERVISE_HEALTH_MS"
+      ~read:T1000_serve.Supervisor.env_health_ms Opts.exact health_ms;
     let base = T1000_serve.Supervisor.default_config () in
-    let serve_args =
-      (match queue with
-      | Some n -> [ "--queue"; string_of_int n ]
-      | None -> [])
-      @ (match jobs with
-        | Some n -> [ "--jobs"; string_of_int n ]
-        | None -> [])
-      @ (match deadline with
-        | Some d -> [ "--deadline"; Printf.sprintf "%g" d ]
-        | None -> [])
-      @
-      match max_steps with
-      | Some n -> [ "--max-steps"; string_of_int n ]
-      | None -> []
-    in
     let cfg =
       {
         base with
-        T1000_serve.Supervisor.replicas =
-          Option.value replicas
-            ~default:base.T1000_serve.Supervisor.replicas;
-        socket_dir =
+        T1000_serve.Supervisor.socket_dir =
           Option.value socket_dir
             ~default:base.T1000_serve.Supervisor.socket_dir;
-        restarts =
-          Option.value restarts
-            ~default:base.T1000_serve.Supervisor.restarts;
-        health_period_s =
-          (match health_ms with
-          | Some ms -> ms /. 1000.0
-          | None -> base.T1000_serve.Supervisor.health_period_s);
         drain_grace_s =
           Option.value grace
             ~default:base.T1000_serve.Supervisor.drain_grace_s;
-        serve_args;
+        (* The replicas inherit the environment, and with it every flag
+           of [Opts.env]; only the step cap travels as an argument. *)
+        serve_args =
+          (match max_steps with
+          | Some n -> [ "--max-steps"; string_of_int n ]
+          | None -> []);
       }
     in
     let sup = T1000_serve.Supervisor.create cfg in
@@ -959,27 +705,6 @@ let supervise_cmd =
             "Graceful-drain allowance per replica on shutdown before \
              escalating to SIGKILL (default 5).")
   in
-  let queue =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue depth passed to every replica.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains per replica.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"MS"
-          ~doc:"Default per-request deadline passed to every replica.")
-  in
   let max_steps =
     Arg.(
       value
@@ -997,8 +722,8 @@ let supervise_cmd =
           SIGTERM.  Exit code 3 if any replica exhausted its restart \
           budget.")
     Term.(
-      const run $ replicas $ socket_dir $ restarts $ health_ms $ grace
-      $ queue $ jobs $ deadline $ max_steps $ trace_arg)
+      const run $ Opts.env $ replicas $ socket_dir $ restarts $ health_ms
+      $ grace $ max_steps)
 
 (* -c/--connect accepts a comma-separated endpoint list; more than one
    endpoint switches the client into failover mode (round-robin with
@@ -1028,7 +753,7 @@ let addrs_conv =
 let client_cmd =
   let run connect ping health timeout_ms asm kernel method_ pfus penalty
       max_cycles deadline count show_cached =
-    with_faults @@ fun () ->
+    Opts.with_faults @@ fun () ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let addrs =
       match connect with
@@ -1066,6 +791,30 @@ let client_cmd =
           Format.eprintf "t1000 client: %s@." msg;
           exit 1
     in
+    (* One endpoint: the plain blocking client, byte-identical output
+       and semantics to the single-daemon tier; several: the failover
+       client.  [f] gets the session's ping and request calls. *)
+    let session f =
+      match addrs with
+      | [ addr ] -> (
+          match T1000_serve.Client.connect ?timeout_s addr with
+          | Error msg ->
+              Format.eprintf "t1000 client: %s@." msg;
+              exit 1
+          | Ok c ->
+              Fun.protect ~finally:(fun () -> T1000_serve.Client.close c)
+              @@ fun () ->
+              f
+                (fun () -> T1000_serve.Client.ping c)
+                (T1000_serve.Client.request c))
+      | addrs ->
+          let fo = T1000_serve.Client.Failover.create ?timeout_s addrs in
+          Fun.protect ~finally:(fun () -> T1000_serve.Client.Failover.close fo)
+          @@ fun () ->
+          f
+            (fun () -> T1000_serve.Client.Failover.ping fo)
+            (T1000_serve.Client.Failover.request fo)
+    in
     if health then begin
       (* Probe each endpoint individually: --health is a per-replica
          liveness report, not a failover request. *)
@@ -1093,32 +842,8 @@ let client_cmd =
       in
       if failures > 0 then exit 1
     end
-    else if ping then (
-      match addrs with
-      | [ addr ] -> (
-          match T1000_serve.Client.connect ?timeout_s addr with
-          | Error msg ->
-              Format.eprintf "t1000 client: %s@." msg;
-              exit 1
-          | Ok c -> (
-              Fun.protect
-                ~finally:(fun () -> T1000_serve.Client.close c)
-              @@ fun () ->
-              match T1000_serve.Client.ping c with
-              | Ok () -> Format.printf "pong@."
-              | Error msg ->
-                  Format.eprintf "t1000 client: %s@." msg;
-                  exit 1))
-      | addrs -> (
-          let fo = T1000_serve.Client.Failover.create ?timeout_s addrs in
-          Fun.protect
-            ~finally:(fun () -> T1000_serve.Client.Failover.close fo)
-          @@ fun () ->
-          match T1000_serve.Client.Failover.ping fo with
-          | Ok () -> Format.printf "pong@."
-          | Error msg ->
-              Format.eprintf "t1000 client: %s@." msg;
-              exit 1))
+    else if ping then
+      session (fun ping _ -> print_reply (Result.map (fun () -> `Pong) (ping ())))
     else begin
       let kernel =
         match (asm, kernel) with
@@ -1155,29 +880,10 @@ let client_cmd =
           deadline_ms = deadline;
         }
       in
-      match addrs with
-      | [ addr ] -> (
-          (* One endpoint: plain blocking client, byte-identical output
-             and semantics to the single-daemon tier. *)
-          match T1000_serve.Client.connect ?timeout_s addr with
-          | Error msg ->
-              Format.eprintf "t1000 client: %s@." msg;
-              exit 1
-          | Ok c ->
-              Fun.protect
-                ~finally:(fun () -> T1000_serve.Client.close c)
-              @@ fun () ->
-              for _ = 1 to count do
-                print_reply (T1000_serve.Client.request c sel)
-              done)
-      | addrs ->
-          let fo = T1000_serve.Client.Failover.create ?timeout_s addrs in
-          Fun.protect
-            ~finally:(fun () -> T1000_serve.Client.Failover.close fo)
-          @@ fun () ->
+      session (fun _ request ->
           for _ = 1 to count do
-            print_reply (T1000_serve.Client.Failover.request fo sel)
-          done
+            print_reply (request sel)
+          done)
     end
   in
   let connect =
@@ -1266,8 +972,8 @@ let client_cmd =
           only transport failures exit non-zero).")
     Term.(
       const run $ connect $ ping $ health $ timeout $ asm $ kernel
-      $ method_arg $ pfus_arg
-      $ penalty_arg $ max_cycles $ deadline $ count $ show_cached)
+      $ Opts.method_ $ Opts.pfus
+      $ Opts.penalty $ max_cycles $ deadline $ count $ show_cached)
 
 let () =
   let doc =

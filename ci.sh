@@ -426,6 +426,30 @@ grep -q "error\[overloaded\]" "$SERVE_DIR/replies1.txt" && {
   exit 1
 }
 
+echo "== serve: a daemon reply is the speedup run prints =="
+# The daemon and the one-shot commands evaluate through the same
+# Experiment ctx: a reply's speedup must equal what `run` prints for
+# the same setup, like the f6-cell-vs-run leg above.
+SOCK="$SERVE_DIR/same.sock"
+"$SERVE_CLI" serve --socket "$SOCK" -j 1 > "$SERVE_DIR/same_daemon.log" 2>&1 &
+SERVE_PID=$!
+serve_wait "$SOCK" "$SERVE_PID"
+DAEMON_SPEEDUP=$(timeout 300 "$SERVE_CLI" client -c "unix:$SOCK" \
+  unepic -m selective -p 2 -r 10 | sed -n 's/^speedup=\([^ ]*\) .*/\1/p')
+serve_stop "$SERVE_PID" || { echo "daemon did not drain cleanly" >&2; exit 1; }
+RUN_SPEEDUP=$(timeout 300 "$SERVE_CLI" run unepic -m selective -p 2 -r 10 \
+  | awk '$1 == "speedup:" { print $2 }')
+if [ -z "$DAEMON_SPEEDUP" ] || [ "$DAEMON_SPEEDUP" != "$RUN_SPEEDUP" ]; then
+  echo "daemon speedup ($DAEMON_SPEEDUP) differs from run's ($RUN_SPEEDUP)" >&2
+  exit 1
+fi
+
+echo "== cli: dot rejects an unknown WHAT =="
+if timeout 60 "$SERVE_CLI" dot unepic bogus > /dev/null 2>&1; then
+  echo "dot unepic bogus exited 0" >&2
+  exit 1
+fi
+
 echo "== serve: SIGTERM mid-load is a graceful drain =="
 SOCK="$SERVE_DIR/drain.sock"
 "$SERVE_CLI" serve --socket "$SOCK" -j 1 \

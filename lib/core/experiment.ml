@@ -24,23 +24,33 @@ let sel_key (s : Runner.setup) =
 
 type ctx = {
   suite : Workload.t list;
+  max_steps : int option;
   analyses : (string, Runner.analysis) Memo.t;
-  runs : (string * string, Runner.run) Memo.t;
+  runs : (string * string, T1000_ooo.Stats.t) Memo.t;
   tables : (string * sel_key, T1000_select.Extinstr.t) Memo.t;
 }
 
-let create_ctx ?(workloads = Registry.all) () =
+let create_ctx ?(workloads = Registry.all) ?max_steps () =
+  let cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap in
   {
     suite = workloads;
-    analyses = Memo.create ~name:"analysis" 8;
-    runs = Memo.create ~name:"run" ~cap:1024 64;
-    tables = Memo.create ~name:"tables" 32;
+    max_steps;
+    analyses = Memo.create ~name:"analysis" ~cap 8;
+    runs = Memo.create ~name:"run" ~cap 64;
+    tables = Memo.create ~name:"tables" ~cap 32;
   }
 
 let workloads ctx = ctx.suite
 
+let memo_stats ctx =
+  let stat name m = (name, Memo.length m, Memo.evictions m) in
+  [
+    stat "analysis" ctx.analyses; stat "run" ctx.runs; stat "tables" ctx.tables;
+  ]
+
 let analysis ctx (w : Workload.t) =
-  Memo.find_or_compute ctx.analyses w.Workload.name (fun () -> Runner.analyze w)
+  Memo.find_or_compute ctx.analyses w.Workload.name (fun () ->
+      Runner.analyze ?max_steps:ctx.max_steps w)
 
 let selection_table ctx (w : Workload.t) s =
   match sel_key s with
@@ -53,21 +63,19 @@ let selection_table ctx (w : Workload.t) s =
 (* A run is a pure function of what [Runner.simulate] consumes, so the
    memo is keyed on exactly that ([Runner.inputs_key]), not on the
    setup: DSE points whose gain thresholds or LUT budgets pick the same
-   table share one simulation and one set of checks.  The same setup
-   gets the physically same run back; another setup gets the shared
-   statistics under its own [used].  The cap bounds a DSE sweep (runs
-   are a few KB each). *)
+   table share one simulation and one set of checks.  It keeps only the
+   statistics (a few hundred bytes; a whole run holds the rewritten
+   program and table too) and rebuilds the run around them from the
+   prepared setup, which carries the setup's own [used]. *)
 let run_setup ctx (w : Workload.t) s =
   let p =
     Runner.prepare ~analysis:(analysis ctx w) ~table:(selection_table ctx w s)
       w s
   in
-  let r =
-    Memo.find_or_compute ctx.runs
-      (w.Workload.name, Runner.inputs_key p)
-      (fun () -> Runner.simulate p)
-  in
-  if r.Runner.used = s then r else { r with Runner.used = s }
+  Runner.with_stats p
+    (Memo.find_or_compute ctx.runs
+       (w.Workload.name, Runner.inputs_key p)
+       (fun () -> Runner.simulate p))
 
 let baseline_for ctx w machine =
   run_setup ctx w { (Runner.setup Runner.Baseline) with Runner.machine }

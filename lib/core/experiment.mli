@@ -13,13 +13,30 @@ open T1000_workloads
     compute-once and domain-safe ({!Memo}): the sweep
     drivers below fan their (workload x configuration) points out over
     the {!Pool} worker pool ([T1000_NJOBS] workers) and still return
-    exactly the rows a sequential run returns. *)
+    exactly the rows a sequential run returns.  It is the one place a
+    (kernel, setup) is evaluated: the batch drivers, the {e lib/dse}
+    engine, the CLI's one-shot commands and the serve daemon all go
+    through it.  Each memo keeps the [T1000_MEMO_CAP] most recently
+    used entries ({!Memo.env_cap}, default {!Memo.default_cap}); an
+    evicted entry is computed again, with the same result. *)
 type ctx
 
-val create_ctx : ?workloads:Workload.t list -> unit -> ctx
-(** Defaults to the full 8-benchmark suite ({!Registry.all}). *)
+val create_ctx :
+  ?workloads:Workload.t list -> ?max_steps:int -> unit -> ctx
+(** Defaults to the full 8-benchmark suite ({!Registry.all}).
+    [?max_steps] caps every profiling run ({!Runner.analyze}); the
+    serve daemon sets it so a non-halting submitted kernel fails
+    instead of wedging a worker.
+    @raise Fault.Error with [Invalid_config] if [T1000_MEMO_CAP] is
+      set but not a positive integer. *)
 
 val workloads : ctx -> Workload.t list
+
+val memo_stats : ctx -> (string * int * int) list
+(** [(name, cached entries, cumulative evictions)] of the ctx's
+    ["analysis"], ["run"] and ["tables"] memos, in that order: what the
+    serve daemon's health reply reports. *)
+
 val analysis : ctx -> Workload.t -> Runner.analysis
 val baseline_for :
   ctx -> Workload.t -> T1000_ooo.Mconfig.t -> Runner.run
@@ -40,23 +57,25 @@ val selection_table :
     penalty sweep runs instruction selection once per workload. *)
 
 val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
-(** {!Runner.run} with the ctx's cached analysis and selection table,
-    itself cached on what the simulation consumes: the workload name
-    and {!Runner.inputs_key} of the {!Runner.prepare}d setup (rewritten
-    program, each entry's DFG and effective latency, effective machine,
-    [selfcheck]).  Setups that differ only in knobs that do not change
-    those inputs share one simulation, one output check and one
-    self-check: most DSE points that differ only in gain threshold or
-    LUT budget pick the same table.  A repeated call with an equal
-    setup returns the {e physically same} run; a different setup with
-    the same key gets the cached run with [used] set to itself.  Sound
-    because a run is a pure function of those inputs.  The
-    [T1000_MAX_CYCLES] override and [Mconfig.progress_window] are not
-    in the key: they only decide whether a run raises, and a run that
-    raises is not cached ({!Memo} clears the pending slot), so they
-    cannot make a cached result wrong.  The cache keeps the 1024 most
-    recently used runs (the paper suite needs about 320); an evicted
-    run is simulated again, with the same result. *)
+(** {!Runner.run} with the ctx's cached analysis and selection table.
+    The simulation's statistics are cached on what the simulation
+    consumes: the workload name and {!Runner.inputs_key} of the
+    {!Runner.prepare}d setup (rewritten program, each entry's DFG and
+    effective latency, effective machine, [selfcheck]).  Setups that
+    differ only in knobs that do not change those inputs share one
+    simulation, one output check and one self-check: most DSE points
+    that differ only in gain threshold or LUT budget pick the same
+    table, and a greedy and a selective request with unlimited PFUs
+    often do too.  The memo holds only the {!T1000_ooo.Stats.t}; the
+    run is rebuilt around it ({!Runner.with_stats}), so its [used] is
+    always [s] and a repeated call returns the {e physically same}
+    [stats].  Sound because a run is a pure function of those inputs.
+    The [T1000_MAX_CYCLES] override and [Mconfig.progress_window] are
+    not in the key: they only decide whether a run raises, and a run
+    that raises is not cached ({!Memo} clears the pending slot), so
+    they cannot make a cached result wrong.  A machine's own
+    [max_cycles] (the daemon's per-request cycle budget) is in the
+    key. *)
 
 val speedup_of : ctx -> Workload.t -> Runner.setup -> float
 (** Speedup of [run_setup] over {!baseline_for} the setup's own

@@ -70,3 +70,29 @@ let getenv_bool var =
             (Error
                (Invalid_config
                   (Printf.sprintf "%s must be 0/1/true/false, got %S" var v))))
+
+(* The one reader behind every numeric T1000_* knob: unset or blank is
+   [None]; a value [of_string] cannot read or [ok] rejects raises
+   [Invalid_config] naming the variable, what it must be, and the raw
+   value. *)
+let getenv_parsed ~of_string ~ok ~what var =
+  match Sys.getenv_opt var with
+  | None -> None
+  | Some s when String.trim s = "" -> None
+  | Some s -> (
+      match of_string (String.trim s) with
+      | Some v when ok v -> Some v
+      | Some _ | None -> invalid_config "%s must be %s, got %S" var what s)
+
+let getenv_int ?(min = min_int) var =
+  let what =
+    match min with
+    | 0 -> "a non-negative integer"
+    | 1 -> "a positive integer"
+    | m when m = min_int -> "an integer"
+    | m -> Printf.sprintf "an integer >= %d" m
+  in
+  getenv_parsed ~of_string:int_of_string_opt ~ok:(fun n -> n >= min) ~what var
+
+let getenv_float ~ok ~what var =
+  getenv_parsed ~of_string:float_of_string_opt ~ok ~what var

@@ -79,3 +79,13 @@ val getenv_bool : string -> bool
 (** Strict boolean environment lookup: unset/empty/["0"]/["false"]/
     ["no"] are [false]; ["1"]/["true"]/["yes"] are [true].
     @raise Error with [Invalid_config] on anything else. *)
+
+val getenv_int : ?min:int -> string -> int option
+(** Strict integer environment lookup: unset or blank is [None]; a
+    trimmed integer [>= min] (any integer without [?min]) is [Some n].
+    @raise Error with [Invalid_config] ("VAR must be a positive
+      integer, got ...") on anything else. *)
+
+val getenv_float : ok:(float -> bool) -> what:string -> string -> float option
+(** Like {!getenv_int} for a float accepted by [ok]; [what] completes
+    the error message ("VAR must be [what], got ..."). *)

@@ -17,19 +17,7 @@ type ('k, 'v) t = {
 
 let env_var = "T1000_MEMO_CAP"
 
-let env_cap () =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf "%s must be a positive integer, got %S"
-                     env_var s))))
+let env_cap () = Fault.getenv_int ~min:1 env_var
 
 let default_cap = 1024
 

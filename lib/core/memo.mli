@@ -10,8 +10,9 @@
     A table may carry an LRU capacity ([?cap]): once more than [cap]
     computations have completed, the least-recently-used completed
     binding is evicted (and recomputed on its next request).  This is
-    what bounds the serve daemon's cross-request caches — a long-lived
-    multi-tenant process must not grow without limit.  Pending slots
+    what bounds an {!Experiment} ctx's memos and the serve daemon's
+    reply cache — a long-lived multi-tenant process must not grow
+    without limit.  Pending slots
     are never evicted, recency stamps are unique, and eviction order is
     a pure function of the lookup order, so an identical request stream
     sees an identical hit/recompute pattern (and, because the pipeline
@@ -55,11 +56,11 @@ val env_var : string
 (** ["T1000_MEMO_CAP"]. *)
 
 val env_cap : unit -> int option
-(** [T1000_MEMO_CAP]: LRU capacity for the serve daemon's cross-request
-    memo tables ({!default_cap} when unset).
+(** [T1000_MEMO_CAP]: LRU capacity of every {!Experiment} ctx memo and
+    of the serve daemon's reply cache ({!default_cap} when unset).
     @raise Fault.Error with [Invalid_config] unless a positive
       integer. *)
 
 val default_cap : int
-(** The generous default (1024) applied by the serve daemon when
-    [T1000_MEMO_CAP] is unset. *)
+(** The generous default (1024) applied when [T1000_MEMO_CAP] is
+    unset. *)

@@ -2,15 +2,10 @@ module Metrics = T1000_obs.Metrics
 module Tracer = T1000_obs.Tracer
 
 let default_njobs () =
-  match Sys.getenv_opt "T1000_NJOBS" with
+  match Fault.getenv_int ~min:1 "T1000_NJOBS" with
+  | Some n -> n
   | None -> Domain.recommended_domain_count ()
-  | Some s when String.trim s = "" -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "T1000_NJOBS must be a positive integer, got %S" s))
+  | exception Fault.Error (Fault.Invalid_config m) -> invalid_arg m
 
 let parallel_map ?njobs f xs =
   let njobs =
@@ -94,48 +89,15 @@ let hash_unit ~seed ~salt ~a ~b =
   to_float (shift_right_logical h 11) /. 9007199254740992.0
 
 let env_chaos () =
-  match Sys.getenv_opt "T1000_CHAOS" with
-  | None -> 0.0
-  | Some s when String.trim s = "" -> 0.0
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some p when p >= 0.0 && p < 1.0 -> p
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf
-                     "T1000_CHAOS must be a fault probability in [0, 1), \
-                      got %S"
-                     s))))
+  Fault.getenv_float "T1000_CHAOS"
+    ~ok:(fun p -> p >= 0.0 && p < 1.0)
+    ~what:"a fault probability in [0, 1)"
+  |> Option.value ~default:0.0
 
 let env_chaos_seed () =
-  match Sys.getenv_opt "T1000_CHAOS_SEED" with
-  | None -> 1
-  | Some s when String.trim s = "" -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf "T1000_CHAOS_SEED must be an integer, got %S"
-                     s))))
+  Option.value (Fault.getenv_int "T1000_CHAOS_SEED") ~default:1
 
-let env_retries () =
-  match Sys.getenv_opt "T1000_RETRIES" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> Some n
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf
-                     "T1000_RETRIES must be a non-negative integer, got %S" s))))
+let env_retries () = Fault.getenv_int ~min:0 "T1000_RETRIES"
 
 type chaos = { p : float; seed : int }
 
@@ -157,20 +119,10 @@ let chaos_events () = (Metrics.get injected_counter, Metrics.get killed_counter)
    deterministic attempt sequence is unchanged either way, because the
    scale only stretches or compresses the delays, never the decisions. *)
 let env_backoff_scale () =
-  match Sys.getenv_opt "T1000_BACKOFF_SCALE" with
-  | None -> 1.0
-  | Some s when String.trim s = "" -> 1.0
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x >= 0.0 && Float.is_finite x -> x
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf
-                     "T1000_BACKOFF_SCALE must be a non-negative finite \
-                      float, got %S"
-                     s))))
+  Fault.getenv_float "T1000_BACKOFF_SCALE"
+    ~ok:(fun x -> x >= 0.0 && Float.is_finite x)
+    ~what:"a non-negative finite float"
+  |> Option.value ~default:1.0
 
 (* Capped exponential backoff before retrying a transient fault: 1 ms,
    2 ms, 4 ms, ... capped at 50 ms, so even a long retry chain costs

@@ -280,8 +280,19 @@ let simulate p =
                   program's under self-check"
                  w.Workload.name)))
   end;
-  { workload = w; used = s; table; program; stats }
+  stats
 
-let run ?analysis ?table w s = simulate (prepare ?analysis ?table w s)
+let with_stats p stats =
+  {
+    workload = p.p_workload;
+    used = p.p_used;
+    table = p.p_table;
+    program = p.p_program;
+    stats;
+  }
+
+let run ?analysis ?table w s =
+  let p = prepare ?analysis ?table w s in
+  with_stats p (simulate p)
 
 let speedup ~baseline r = Stats.speedup ~baseline:baseline.stats r.stats

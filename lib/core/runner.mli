@@ -126,13 +126,20 @@ val inputs_key : prepared -> string
     their setups differ (e.g. gain thresholds that pick the same
     table). *)
 
-val simulate : prepared -> run
+val simulate : prepared -> Stats.t
 (** The rest of {!run}: simulate, then the output and self-checks
-    described there.  The run's [used] is the prepared setup. *)
+    described there. *)
+
+val with_stats : prepared -> Stats.t -> run
+(** The run record of a prepared setup and its simulation's statistics:
+    [used] is the prepared setup, [table] and [program] are the ones
+    {!simulate} runs.  Lets a cache keep only the statistics
+    ({!Experiment.run_setup}). *)
 
 val run : ?analysis:analysis -> ?table:T1000_select.Extinstr.t ->
   Workload.t -> setup -> run
-(** Select, rewrite, and simulate: [simulate (prepare ...)].  The
+(** Select, rewrite, and simulate: [with_stats p (simulate p)] for
+    [p = prepare ...].  The
     rewritten program's outputs are checked after timing, from the
     simulator's committed memory: its output region must equal [analysis.reference] byte for byte (a
     safety net for the rewriter, timed as [phase.verify]); a mismatch

@@ -1,3 +1,4 @@
+module Experiment = T1000.Experiment
 module Fault = T1000.Fault
 module Memo = T1000.Memo
 module Pool = T1000.Pool
@@ -44,29 +45,12 @@ let parse_addr s =
 
 (* ---- environment knobs (fail-fast, exit-2 policy via validate_env) ---- *)
 
-let env_queue_depth () =
-  match Sys.getenv_opt "T1000_SERVE_QUEUE" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          Fault.invalid_config
-            "T1000_SERVE_QUEUE must be a positive integer, got %S" s)
+let env_queue_depth () = Fault.getenv_int ~min:1 "T1000_SERVE_QUEUE"
 
 let env_deadline_ms () =
-  match Sys.getenv_opt "T1000_SERVE_DEADLINE_MS" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some d when d > 0.0 && Float.is_finite d -> Some d
-      | Some _ | None ->
-          Fault.invalid_config
-            "T1000_SERVE_DEADLINE_MS must be a positive number of \
-             milliseconds, got %S"
-            s)
+  Fault.getenv_float "T1000_SERVE_DEADLINE_MS"
+    ~ok:(fun d -> d > 0.0 && Float.is_finite d)
+    ~what:"a positive number of milliseconds"
 
 let env_addr () =
   match Sys.getenv_opt "T1000_SERVE_ADDR" with
@@ -82,9 +66,7 @@ type config = {
   queue_depth : int;
   njobs : int;
   default_deadline_ms : float option;
-  retries : int option;
   max_steps : int;
-  memo_cap : int;
 }
 
 let default_config () =
@@ -93,9 +75,7 @@ let default_config () =
     queue_depth = Option.value (env_queue_depth ()) ~default:64;
     njobs = Pool.default_njobs ();
     default_deadline_ms = env_deadline_ms ();
-    retries = None;
     max_steps = 10_000_000;
-    memo_cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap;
   }
 
 (* ---- jobs ---- *)
@@ -130,11 +110,8 @@ type t = {
   mutable inflight : int;
   mutable respawns : int;
   mutable ticker_stop : bool;
-  (* cross-request caches (Memo: compute-once, domain-safe) *)
-  analyses : (string, Runner.analysis) Memo.t;
-  baselines : (string, Runner.run) Memo.t;
-  tables : (string, Extinstr.t) Memo.t;
-  results : (string, Protocol.outcome) Memo.t;
+  ctx : Experiment.ctx;  (* the one evaluation path, shared by requests *)
+  results : (Protocol.select, Protocol.outcome) Memo.t;  (* the reply cache *)
 }
 
 let respawn_cap = 64
@@ -154,8 +131,8 @@ let create cfg =
   | _ -> ());
   if cfg.max_steps < 1 then
     Fault.invalid_config "serve: max_steps must be >= 1, got %d" cfg.max_steps;
-  if cfg.memo_cap < 1 then
-    Fault.invalid_config "serve: memo cap must be >= 1, got %d" cfg.memo_cap;
+  let ctx = Experiment.create_ctx ~workloads:[] ~max_steps:cfg.max_steps () in
+  let cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap in
   let listen_on addr =
     try
       match addr with
@@ -220,10 +197,8 @@ let create cfg =
     inflight = 0;
     respawns = 0;
     ticker_stop = false;
-    analyses = Memo.create ~name:"serve.analysis" ~cap:cfg.memo_cap 16;
-    baselines = Memo.create ~name:"serve.baseline" ~cap:cfg.memo_cap 16;
-    tables = Memo.create ~name:"serve.tables" ~cap:cfg.memo_cap 16;
-    results = Memo.create ~name:"serve.results" ~cap:cfg.memo_cap 64;
+    ctx;
+    results = Memo.create ~name:"serve.results" ~cap 64;
   }
 
 let bound_addrs t = List.map fst t.listeners
@@ -240,18 +215,12 @@ let health t =
   let respawns = t.respawns in
   Mutex.unlock t.sm;
   let injected, killed = Pool.chaos_events () in
-  let memo_sizes =
-    [
-      ("analysis", Memo.length t.analyses);
-      ("baseline", Memo.length t.baselines);
-      ("tables", Memo.length t.tables);
-      ("results", Memo.length t.results);
-    ]
+  let memos =
+    Experiment.memo_stats t.ctx
+    @ [ ("results", Memo.length t.results, Memo.evictions t.results) ]
   in
-  let memo_evictions =
-    Memo.evictions t.analyses + Memo.evictions t.baselines
-    + Memo.evictions t.tables + Memo.evictions t.results
-  in
+  let memo_sizes = List.map (fun (name, n, _) -> (name, n)) memos in
+  let memo_evictions = List.fold_left (fun acc (_, _, e) -> acc + e) 0 memos in
   {
     Protocol.pid = Unix.getpid ();
     uptime_s = Unix.gettimeofday () -. t.started;
@@ -267,14 +236,18 @@ let health t =
     chaos_killed = killed;
   }
 
-(* ---- the selection pipeline, behind cross-request memo caches ---- *)
+(* ---- the selection pipeline: the ctx, behind the reply cache ---- *)
 
 let kernel_key = function
   | Protocol.Named n -> "named:" ^ n
   | Protocol.Asm { name = _; text } ->
       "asm:" ^ Digest.to_hex (Digest.string text)
 
-let resolve_kernel = function
+(* A submitted kernel is a workload named by its digest, so the ctx's
+   memos tell two kernels apart by their text, never by the name a
+   client chose. *)
+let resolve_kernel kernel =
+  match kernel with
   | Protocol.Named n -> (
       match Registry.find n with
       | Some w -> w
@@ -286,7 +259,7 @@ let resolve_kernel = function
       | Error msg -> Fault.invalid_config "asm parse error: %s" msg
       | Ok program ->
           {
-            Workload.name;
+            Workload.name = kernel_key kernel;
             description = "client-submitted kernel";
             program;
             init = (fun _ _ -> ());
@@ -314,65 +287,26 @@ let setup_of_select (sel : Protocol.select) =
   | Some max_cycles ->
       { s with Runner.machine = { s.Runner.machine with Mconfig.max_cycles } }
 
-let method_tag = function
-  | `Baseline -> "b"
-  | `Greedy -> "g"
-  | `Selective -> "s"
-
-let pfus_tag = function None -> "u" | Some n -> string_of_int n
-
 let compute srv (sel : Protocol.select) : Protocol.outcome =
   Tracer.with_span ~cat:"serve" "serve.compute" @@ fun () ->
-  let kkey = kernel_key sel.Protocol.kernel in
   let setup = setup_of_select sel in
+  (* A reply depends on every request field but the deadline, and on
+     the kernel only through its digest. *)
   let rkey =
-    Printf.sprintf "%s/%s/%s/p%d/c%s" kkey
-      (method_tag sel.Protocol.method_)
-      (pfus_tag sel.Protocol.pfus)
-      sel.Protocol.penalty
-      (match sel.Protocol.max_cycles with
-      | None -> "-"
-      | Some c -> string_of_int c)
+    {
+      sel with
+      Protocol.kernel = Protocol.Named (kernel_key sel.Protocol.kernel);
+      deadline_ms = None;
+    }
   in
   let warm = Memo.find_opt srv.results rkey <> None in
   let outcome =
     Memo.find_or_compute srv.results rkey @@ fun () ->
     let w = resolve_kernel sel.Protocol.kernel in
-    let analysis =
-      (* The server's functional-step cap makes a non-halting submitted
-         kernel surface as a typed [Interp_fault] instead of wedging a
-         worker domain. *)
-      Memo.find_or_compute srv.analyses kkey (fun () ->
-          Runner.analyze ~max_steps:srv.cfg.max_steps w)
-    in
-    let baseline =
-      (* Keyed on the kernel and the cycle budget: the budget is the
-         only machine field a request can change, and the baseline must
-         run under the same watchdog as the configured machine. *)
-      let bkey =
-        Printf.sprintf "%s/base/c%d" kkey setup.Runner.machine.Mconfig.max_cycles
-      in
-      Memo.find_or_compute srv.baselines bkey (fun () ->
-          let bs =
-            { (Runner.setup Runner.Baseline) with
-              Runner.machine = setup.Runner.machine }
-          in
-          Runner.run ~analysis w bs)
-    in
-    let table =
-      (* Selection depends only on (method, n_pfus) among the fields a
-         request can set — penalty and cycle budget are simulation-time
-         parameters — so a penalty sweep from one tenant selects
-         once. *)
-      let tkey =
-        Printf.sprintf "%s/table/%s/%s" kkey
-          (method_tag sel.Protocol.method_)
-          (pfus_tag sel.Protocol.pfus)
-      in
-      Memo.find_or_compute srv.tables tkey (fun () ->
-          Runner.select_table setup analysis)
-    in
-    let r = Runner.run ~analysis ~table w setup in
+    (* The baseline runs on the configured machine, so under the same
+       cycle budget (the one machine field a request can change). *)
+    let baseline = Experiment.baseline_for srv.ctx w setup.Runner.machine in
+    let r = Experiment.run_setup srv.ctx w setup in
     let lut_cost =
       List.fold_left
         (fun acc (e : Extinstr.entry) -> acc + e.Extinstr.lut_cost)
@@ -443,7 +377,7 @@ let process srv job =
   else begin
     Metrics.observe "serve.queue_wait_ms" ((started -. job.submitted) *. 1e3);
     let result =
-      Pool.run_result ?retries:srv.cfg.retries ~index:job.seq (fun () ->
+      Pool.run_result ~index:job.seq (fun () ->
           compute srv job.sel)
     in
     Metrics.observe "serve.service_ms" ((now () -. started) *. 1e3);

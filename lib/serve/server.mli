@@ -22,8 +22,8 @@
       the daemon keeps serving.
     - {b Retry with backoff}: every request runs under
       {!T1000.Pool.run_result}, so transient faults (chaos injection,
-      crashes) are retried with capped exponential backoff before an
-      error is returned.
+      crashes) are retried with capped exponential backoff
+      ([T1000_RETRIES] times) before an error is returned.
     - {b Chaos}: under [T1000_CHAOS] the worker domains are adversarial
       exactly like the experiment pool's — tasks draw deterministic
       injected faults, and a worker can "die" mid-queue, re-queue its
@@ -34,11 +34,16 @@
       connections, joins every worker and returns — no request is ever
       dropped without a reply.
 
-    Cross-request caching: analyses, baselines, selection tables and
-    whole outcomes are shared between requests through {!T1000.Memo}
-    tables keyed on the kernel and the setup's selection-relevant
-    subset, so repeated tenants get warm-cache latencies (the [cached]
-    reply flag tells them). *)
+    Evaluation: every request is evaluated through one long-lived
+    {!T1000.Experiment.ctx} ({!T1000.Experiment.run_setup} and
+    {!T1000.Experiment.baseline_for}), the same path as the batch
+    drivers and the CLI, so analyses, selection tables and simulations
+    are shared between requests (and between setups that simulate the
+    same inputs).  A submitted assembler kernel is a workload named by
+    its digest ([asm:<md5 of the text>]).  Whole outcomes are kept in a
+    reply cache keyed on the request, so repeated tenants get
+    warm-cache latencies (the [cached] reply flag tells them).  Every
+    one of these memos keeps at most [T1000_MEMO_CAP] entries. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -74,26 +79,20 @@ type config = {
   njobs : int;  (** worker domains *)
   default_deadline_ms : float option;
       (** applied to requests that carry no deadline of their own *)
-  retries : int option;
-      (** transient-fault retries per request
-          ({!T1000.Pool.run_result} default when [None]) *)
   max_steps : int;
       (** functional-execution step cap when profiling
           client-submitted kernels ({!T1000.Runner.analyze}), so a
           non-halting program is a typed fault, not a wedged worker;
           a rewritten program is bounded by the simulator's cycle
           watchdog instead *)
-  memo_cap : int;
-      (** LRU capacity of each cross-request memo table; a long-lived
-          daemon must not grow without bound *)
 }
 
 val default_config : unit -> config
 (** Environment-driven defaults: [T1000_SERVE_ADDR] (else no address —
     {!create} insists the caller names one), [T1000_SERVE_QUEUE] (else
     64), [T1000_NJOBS] workers, [T1000_SERVE_DEADLINE_MS] (else none),
-    10M functional steps, [T1000_MEMO_CAP] (else
-    {!T1000.Memo.default_cap}) memo entries per table. *)
+    10M functional steps.  The CLI's [--queue], [-j] and [--deadline]
+    flags reach it through those variables. *)
 
 type t
 
@@ -128,5 +127,7 @@ val answered : t -> int
 val health : t -> Protocol.health
 (** The liveness snapshot the wire [`Health] op answers with: uptime,
     queue depth and capacity, in-flight count, reply count, live
-    workers, chaos counters, and per-table memo sizes with cumulative
-    LRU evictions.  Lock-light: never blocks on request traffic. *)
+    workers, chaos counters, and the sizes of the ctx's ["analysis"],
+    ["run"] and ["tables"] memos and of the ["results"] reply cache,
+    with their cumulative LRU evictions.  Lock-light: never blocks on
+    request traffic. *)

@@ -4,43 +4,13 @@ module Metrics = T1000_obs.Metrics
 
 (* ---------- environment knobs ---------- *)
 
-let env_pos_int name = function
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          Fault.invalid_config "%s must be a positive integer, got %S" name s)
-
-let env_replicas () =
-  env_pos_int "T1000_SUPERVISE_REPLICAS"
-    (Sys.getenv_opt "T1000_SUPERVISE_REPLICAS")
-
-let env_restarts () =
-  match Sys.getenv_opt "T1000_SUPERVISE_RESTARTS" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> Some n
-      | Some _ | None ->
-          Fault.invalid_config
-            "T1000_SUPERVISE_RESTARTS must be a non-negative integer, got %S"
-            s)
+let env_replicas () = Fault.getenv_int ~min:1 "T1000_SUPERVISE_REPLICAS"
+let env_restarts () = Fault.getenv_int ~min:0 "T1000_SUPERVISE_RESTARTS"
 
 let env_health_ms () =
-  match Sys.getenv_opt "T1000_SUPERVISE_HEALTH_MS" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x > 0.0 && Float.is_finite x -> Some x
-      | Some _ | None ->
-          Fault.invalid_config
-            "T1000_SUPERVISE_HEALTH_MS must be a positive number of \
-             milliseconds, got %S"
-            s)
+  Fault.getenv_float "T1000_SUPERVISE_HEALTH_MS"
+    ~ok:(fun x -> x > 0.0 && Float.is_finite x)
+    ~what:"a positive number of milliseconds"
 
 (* ---------- configuration ---------- *)
 

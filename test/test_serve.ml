@@ -502,7 +502,7 @@ let fresh_sock =
       (Printf.sprintf "t1000-test-%d-%d.sock" (Unix.getpid ()) !n)
 
 let with_server ?(queue = 8) ?(njobs = 2) ?default_deadline_ms
-    ?(max_steps = 10_000_000) ?(memo_cap = T1000.Memo.default_cap) f =
+    ?(max_steps = 10_000_000) f =
   with_env calm_env @@ fun () ->
   let path = fresh_sock () in
   let cfg =
@@ -511,9 +511,7 @@ let with_server ?(queue = 8) ?(njobs = 2) ?default_deadline_ms
       queue_depth = queue;
       njobs;
       default_deadline_ms;
-      retries = None;
       max_steps;
-      memo_cap;
     }
   in
   let srv = Server.create cfg in
@@ -800,9 +798,7 @@ let test_e2e_chaos_soak () =
             queue_depth = 16;
             njobs = 2;
             default_deadline_ms = None;
-            retries = None;
             max_steps = 10_000_000;
-            memo_cap = T1000.Memo.default_cap;
           }
       in
       let th = Thread.create Server.run srv in
@@ -861,9 +857,7 @@ let test_e2e_drain_in_flight () =
         queue_depth = 8;
         njobs = 1;
         default_deadline_ms = None;
-        retries = None;
         max_steps = 10_000_000;
-        memo_cap = T1000.Memo.default_cap;
       }
   in
   let th = Thread.create Server.run srv in
@@ -903,9 +897,7 @@ let test_e2e_tcp () =
         queue_depth = 4;
         njobs = 1;
         default_deadline_ms = None;
-        retries = None;
         max_steps = 10_000_000;
-        memo_cap = T1000.Memo.default_cap;
       }
   in
   let addr =
@@ -943,7 +935,7 @@ let test_e2e_health () =
         (h.Protocol.uptime_s >= 0.0 && h.Protocol.uptime_s < 3600.0);
       check_bool "memo tables listed" true
         (List.map fst h.Protocol.memo_sizes
-        = [ "analysis"; "baseline"; "tables"; "results" ]));
+        = [ "analysis"; "run"; "tables"; "results" ]));
   (match request_exn c (sel ~kernel:(tiny_asm ()) ()) with
   | `Outcome _ -> ()
   | _ -> Alcotest.fail "expected an outcome");
@@ -985,7 +977,8 @@ let test_e2e_health_bypasses_queue () =
 (* ---------- memo cap end-to-end ---------- *)
 
 let test_e2e_memo_cap () =
-  with_server ~memo_cap:1 @@ fun srv addr ->
+  with_env [ (Memo.env_var, "1") ] @@ fun () ->
+  with_server @@ fun srv addr ->
   let c = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let outcome k =
@@ -1009,6 +1002,84 @@ let test_e2e_memo_cap () =
   check_bool "recompute byte-identical" true
     ({ a1 with Protocol.cached = false } = { a2 with Protocol.cached = false })
 
+(* ---------- one evaluation path ---------- *)
+
+(* The request's numbers recomputed on a fresh Experiment ctx, with
+   the kernel resolved here rather than by the server: a registry name,
+   or an assembler kernel as a workload named by its digest. *)
+let recompute (s : Protocol.select) =
+  let module R = T1000.Runner in
+  let w =
+    match s.Protocol.kernel with
+    | Protocol.Named n -> Option.get (T1000_workloads.Registry.find n)
+    | Protocol.Asm { name; text } ->
+        {
+          T1000_workloads.Workload.name =
+            "asm:" ^ Digest.to_hex (Digest.string text);
+          description = "test kernel";
+          program = T1000_asm.Asm_text.parse_exn ~name text;
+          init = (fun _ _ -> ());
+          out_base = T1000_workloads.Kit.out_base;
+          out_len = 0;
+        }
+  in
+  let method_ =
+    match s.Protocol.method_ with
+    | `Baseline -> R.Baseline
+    | `Greedy -> R.Greedy
+    | `Selective -> R.Selective
+  in
+  let setup = R.setup ~n_pfus:s.Protocol.pfus ~penalty:s.Protocol.penalty method_ in
+  let ctx = T1000.Experiment.create_ctx ~workloads:[] () in
+  let r = T1000.Experiment.run_setup ctx w setup in
+  let base = T1000.Experiment.baseline_for ctx w setup.R.machine in
+  ( r.R.stats.T1000_ooo.Stats.cycles,
+    base.R.stats.T1000_ooo.Stats.cycles,
+    T1000_select.Extinstr.count r.R.table,
+    R.speedup ~baseline:base r )
+
+let test_e2e_recompute () =
+  with_server @@ fun _srv addr ->
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter
+    (fun (label, s) ->
+      match request_exn c s with
+      | `Outcome o ->
+          check_bool (label ^ " equals a fresh ctx") true
+            (( o.Protocol.cycles,
+               o.Protocol.baseline_cycles,
+               o.Protocol.ext_count,
+               o.Protocol.speedup )
+            = recompute s)
+      | _ -> Alcotest.failf "%s: expected an outcome" label)
+    [
+      ("registry kernel", sel ~penalty:20 ());
+      ("asm kernel", sel ~kernel:(tiny_asm ~salt:"recompute" ()) ~method_:`Greedy ());
+    ]
+
+(* Greedy and selective with unlimited PFUs pick the same table on
+   unepic: the ctx's input-keyed run memo simulates it once for both. *)
+let test_e2e_shared_simulation () =
+  with_server @@ fun _srv addr ->
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let outcome s =
+    match request_exn c s with
+    | `Outcome o -> o
+    | _ -> Alcotest.fail "expected an outcome"
+  in
+  let penalty = 7 in
+  let _ = outcome (sel ~method_:`Baseline ~penalty ()) in
+  let calls = T1000_obs.Metrics.get "phase.sim.calls" in
+  let g = outcome (sel ~method_:`Greedy ~pfus:None ~penalty ()) in
+  let s = outcome (sel ~method_:`Selective ~pfus:None ~penalty ()) in
+  check_int "one simulation for both requests" (calls + 1)
+    (T1000_obs.Metrics.get "phase.sim.calls");
+  check_int "same cycles" g.Protocol.cycles s.Protocol.cycles;
+  check_bool "neither came from the reply cache" true
+    ((not g.Protocol.cached) && not s.Protocol.cached)
+
 (* ---------- stale socket replacement ---------- *)
 
 let test_stale_socket () =
@@ -1026,9 +1097,7 @@ let test_stale_socket () =
       queue_depth = 4;
       njobs = 1;
       default_deadline_ms = None;
-      retries = None;
       max_steps = 10_000_000;
-      memo_cap = T1000.Memo.default_cap;
     }
   in
   let srv = Server.create cfg in
@@ -1399,6 +1468,10 @@ let () =
           Alcotest.test_case "health bypasses queue" `Quick
             test_e2e_health_bypasses_queue;
           Alcotest.test_case "memo cap" `Quick test_e2e_memo_cap;
+          Alcotest.test_case "recompute on a fresh ctx" `Quick
+            test_e2e_recompute;
+          Alcotest.test_case "shared simulation" `Quick
+            test_e2e_shared_simulation;
           Alcotest.test_case "stale socket" `Quick test_stale_socket;
         ] );
       ( "failover",
