@@ -317,6 +317,31 @@ diff "$CKPT_DIR/dse_gain.out" "$CKPT_DIR/dse_gain_audited.out" || {
   exit 1
 }
 
+echo "== dse: PFU-equivalent points under self-check =="
+# A PFU count at or above the program's configuration count reads as the
+# unlimited file in the run memo's key, under any replacement policy, so
+# such points share one simulation.  Self-check keys its runs apart and
+# audits each: the frontier must not change, and the plain run must make
+# fewer simulations than the exploration has simulation tasks.
+DSE_PFU_AXES="pfus=1,2,4,8:penalty=0,100:lut=150:repl=lru,fifo,rand:gain=0.005:width=4"
+T1000_WORKLOADS=unepic T1000_METRICS=1 \
+  timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_PFU_AXES" --budget 24 \
+  > "$CKPT_DIR/dse_pfu.out" 2> "$CKPT_DIR/dse_pfu.err"
+T1000_WORKLOADS=unepic T1000_SELFCHECK=1 \
+  timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_PFU_AXES" --budget 24 \
+  > "$CKPT_DIR/dse_pfu_audited.out"
+diff "$CKPT_DIR/dse_pfu.out" "$CKPT_DIR/dse_pfu_audited.out" || {
+  echo "self-checked PFU-axis dse frontier differs from the unaudited run" >&2
+  exit 1
+}
+SIM_CALLS=$(awk '$1 == "phase.sim.calls" { print $2 }' "$CKPT_DIR/dse_pfu.err")
+SIM_TASKS=$(awk '$1 == "dse.sim_tasks" { print $2 }' "$CKPT_DIR/dse_pfu.err")
+if [ -z "$SIM_CALLS" ] || [ -z "$SIM_TASKS" ] || [ "$SIM_CALLS" -ge "$SIM_TASKS" ]; then
+  echo "PFU-equivalent points did not share simulations: phase.sim.calls ${SIM_CALLS:-none}, dse.sim_tasks ${SIM_TASKS:-none}" >&2
+  exit 1
+fi
+echo "PFU-axis dse: $SIM_CALLS simulations for $SIM_TASKS simulation tasks"
+
 echo "== dse: interrupted exploration resumes byte-identically =="
 # Kill the exploration mid-flight with an injected fault (exit 3), then
 # --resume against the journal: the finished frontier must match the

@@ -61,15 +61,18 @@ val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
     The simulation's statistics are cached on what the simulation
     consumes: the workload name and {!Runner.inputs_key} of the
     {!Runner.prepare}d setup (rewritten program, each entry's DFG and
-    effective latency, effective machine, [selfcheck]).  Setups that
-    differ only in knobs that do not change those inputs share one
-    simulation, one output check and one self-check: most DSE points
-    that differ only in gain threshold or LUT budget pick the same
-    table, and a greedy and a selective request with unlimited PFUs
-    often do too.  The memo holds only the {!T1000_ooo.Stats.t}; the
-    run is rebuilt around it ({!Runner.with_stats}), so its [used] is
-    always [s] and a repeated call returns the {e physically same}
-    [stats].  Sound because a run is a pure function of those inputs.
+    effective latency, effective machine in its canonical PFU form,
+    [selfcheck]).  Setups that differ only in knobs that do not change
+    those inputs share one simulation, one output check and one
+    self-check: most DSE points that differ only in gain threshold or
+    LUT budget pick the same table, and a greedy and a selective
+    request with unlimited PFUs often do too.  So do PFU counts at or
+    above the program's configuration count under any replacement
+    policy, and a setup whose table comes out empty and
+    {!baseline_for} its machine.  The memo holds only the
+    {!T1000_ooo.Stats.t}; the run is rebuilt around it
+    ({!Runner.with_stats}), so its [used] is always [s] and a repeated
+    call returns the {e physically same} [stats].  Sound because a run is a pure function of those inputs.
     The [T1000_MAX_CYCLES] override and [Mconfig.progress_window] are
     not in the key: they only decide whether a run raises, and a run
     that raises is not cached ({!Memo} clears the pending slot), so

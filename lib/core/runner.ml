@@ -1,3 +1,4 @@
+open T1000_isa
 open T1000_asm
 open T1000_machine
 open T1000_profile
@@ -164,43 +165,49 @@ type prepared = {
   p_latency : int array;
 }
 
-let prepare ?analysis ?table (w : Workload.t) s =
+let prepare ?analysis ?table:given (w : Workload.t) s =
   validate s;
   let analysis = match analysis with Some a -> a | None -> analyze w in
   let table =
-    match table with Some t -> t | None -> select_table s analysis
+    match given with Some t -> t | None -> select_table s analysis
   in
   let program =
     if Extinstr.count table = 0 then w.Workload.program
-    else begin
-      (* Optional cfgld hints: one per (loop, configuration) pair, at
-         the first slot of the loop header (= the preheader position
-         after target remapping). *)
-      let prefetch =
-        if not s.config_prefetch then []
-        else begin
-          let loop_arr = Loops.loops analysis.loops in
-          List.concat_map
-            (fun (e : Extinstr.entry) ->
-              List.filter_map
-                (fun (o : T1000_dfg.Extract.occ) ->
-                  match
-                    Loops.innermost_at_instr analysis.loops
-                      o.T1000_dfg.Extract.root
-                  with
-                  | None -> None
-                  | Some li ->
-                      let header = loop_arr.(li).Loops.header in
-                      Some
-                        ( (Cfg.block analysis.cfg header).Cfg.first,
-                          e.Extinstr.eid ))
-                e.Extinstr.occs)
-            (Extinstr.entries table)
-          |> List.sort_uniq compare
-        end
-      in
-      (Rewrite.apply ~prefetch w.Workload.program table).Rewrite.program
-    end
+    else
+      try
+        (* Optional cfgld hints: one per (loop, configuration) pair, at
+           the first slot of the loop header (= the preheader position
+           after target remapping). *)
+        let prefetch =
+          if not s.config_prefetch then []
+          else begin
+            let loop_arr = Loops.loops analysis.loops in
+            List.concat_map
+              (fun (e : Extinstr.entry) ->
+                List.filter_map
+                  (fun (o : T1000_dfg.Extract.occ) ->
+                    match
+                      Loops.innermost_at_instr analysis.loops
+                        o.T1000_dfg.Extract.root
+                    with
+                    | None -> None
+                    | Some li ->
+                        let header = loop_arr.(li).Loops.header in
+                        Some
+                          ( (Cfg.block analysis.cfg header).Cfg.first,
+                            e.Extinstr.eid ))
+                  e.Extinstr.occs)
+              (Extinstr.entries table)
+            |> List.sort_uniq compare
+          end
+        in
+        (Rewrite.apply ~prefetch w.Workload.program table).Rewrite.program
+      with Invalid_argument m when Option.is_some given ->
+        (* A supplied table (a replayed file) may have been mined from
+           another workload's program. *)
+        Fault.invalid_config
+          "the extended-instruction table does not fit %s's program (%s)"
+          w.Workload.name m
   in
   let machine =
     match s.method_ with
@@ -226,9 +233,40 @@ let prepare ?analysis ?table (w : Workload.t) s =
           latency (Extinstr.get table eid));
   }
 
-(* Everything [simulate] reads besides the workload.  [No_sharing]
-   makes the bytes a function of the values' structure alone, not of
-   which of their parts happen to be physically shared. *)
+let configurations program =
+  let seen = Hashtbl.create 8 in
+  Array.iter
+    (function
+      | Instr.Ext { Instr.eid; _ } | Instr.Cfgld eid ->
+          Hashtbl.replace seen eid ()
+      | _ -> ())
+    (Program.instrs program);
+  Hashtbl.length seen
+
+(* A machine that simulates exactly like [m] on a program naming
+   [confs] configurations (Pfu_file.create): a PFU file with a unit for
+   each never evicts, so its size beyond [confs] and its replacement
+   policy do not matter, and a file never asked does not matter at
+   all. *)
+let canonical_machine ~confs (m : Mconfig.t) =
+  let unlimited penalty =
+    {
+      m with
+      Mconfig.n_pfus = None;
+      pfu_reconfig_cycles = penalty;
+      pfu_replacement = Mconfig.Lru;
+    }
+  in
+  if confs = 0 then unlimited 0
+  else
+    match m.Mconfig.n_pfus with
+    | Some n when n < confs -> m
+    | Some _ | None -> unlimited m.Mconfig.pfu_reconfig_cycles
+
+(* Everything [simulate] reads besides the workload, with the machine
+   in its canonical form.  [No_sharing] makes the bytes a function of
+   the values' structure alone, not of which of their parts happen to
+   be physically shared. *)
 let inputs_key p =
   let entries =
     List.map
@@ -236,9 +274,12 @@ let inputs_key p =
         (e.Extinstr.dfg, p.p_latency.(e.Extinstr.eid)))
       (Extinstr.entries p.p_table)
   in
+  let machine =
+    canonical_machine ~confs:(configurations p.p_program) p.p_machine
+  in
   Digest.string
     (Marshal.to_string
-       (Program.instrs p.p_program, entries, p.p_machine, p.p_used.selfcheck)
+       (Program.instrs p.p_program, entries, machine, p.p_used.selfcheck)
        [ Marshal.No_sharing ])
 
 let simulate p =

@@ -117,6 +117,12 @@ val prepare : ?analysis:analysis -> ?table:T1000_select.Extinstr.t ->
     registry programs.
     @raise Fault.Error with [Invalid_config] ({!validate}). *)
 
+val configurations : Program.t -> int
+(** The number of distinct configuration ids the program's [Ext] and
+    [Cfgld] instructions name: every configuration the PFU file can be
+    asked for, wrong-path fetches included, since those are fetched
+    from the same program. *)
+
 val inputs_key : prepared -> string
 (** A digest of everything {!simulate} reads besides the workload: the
     rewritten program's instructions, each table entry's
@@ -124,7 +130,19 @@ val inputs_key : prepared -> string
     Two prepared setups of the same workload with equal keys simulate
     to equal statistics and pass or fail the same checks, however much
     their setups differ (e.g. gain thresholds that pick the same
-    table). *)
+    table).
+
+    The machine is digested in a canonical PFU form, with [confs] the
+    {!configurations} of the rewritten program: [confs = 0] reads as an
+    unlimited file with penalty 0 and LRU; [n_pfus = None], or
+    [Some n] with [n >= confs], reads as an unlimited file with LRU and
+    the machine's penalty; [Some n] with [n < confs] is digested as it
+    is.  This is exact, not a heuristic: such PFU files simulate
+    identically ({!T1000_ooo.Pfu_file.create}).  So the PFU-count and
+    replacement points of a sweep that never fill the file, and a
+    setup whose table comes out empty and its no-PFU baseline, share
+    one key.  Only the key is canonical; {!simulate} runs the
+    machine it was given. *)
 
 val simulate : prepared -> Stats.t
 (** The rest of {!run}: simulate, then the output and self-checks

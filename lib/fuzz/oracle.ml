@@ -130,6 +130,40 @@ let check (c : Gen.case) : (unit, failure) result =
                   skipping.Runner.stats.Stats.cycles
                   r.Runner.stats.Stats.cycles
             in
+            (* A PFU file with a unit per configuration never evicts,
+               so it must simulate like the unlimited file under any
+               replacement policy: what lets the run memo key both
+               alike (Runner.inputs_key). *)
+            let* () =
+              let confs = Runner.configurations r.Runner.program in
+              if confs = 0 then Ok ()
+              else
+                let rerun n_pfus replacement =
+                  (Runner.run ~analysis ~table:r.Runner.table w
+                     {
+                       setup with
+                       Runner.n_pfus;
+                       replacement;
+                       selfcheck = false;
+                     })
+                    .Runner.stats
+                in
+                let other =
+                  match setup.Runner.replacement with
+                  | Mconfig.Lru -> Mconfig.Fifo
+                  | Mconfig.Fifo -> Mconfig.Random_det
+                  | Mconfig.Random_det -> Mconfig.Lru
+                in
+                let unlimited = rerun None setup.Runner.replacement
+                and full = rerun (Some confs) other in
+                if unlimited = full then Ok ()
+                else
+                  fail name "pfu-equivalence"
+                    "statistics differ between %d PFUs for %d \
+                     configurations (%d cycles) and unlimited PFUs (%d \
+                     cycles)"
+                    confs confs full.Stats.cycles unlimited.Stats.cycles
+            in
             let sp = Runner.speedup ~baseline r in
             if not (Float.is_finite sp && sp > 0.0) then
               fail name "speedup" "speedup %g is not finite and positive" sp

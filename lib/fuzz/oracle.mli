@@ -22,6 +22,11 @@
     - skip: each greedy and selective run, repeated with self-check
       off (so the simulator skips dead cycles instead of executing and
       auditing them), returns equal statistics;
+    - pfu-equivalence: each greedy and selective run whose program
+      names [confs > 0] configurations, repeated on an unlimited PFU
+      file and on a file of exactly [confs] units under another
+      replacement policy, returns equal statistics both times (the
+      equivalence {!T1000.Runner.inputs_key} keys on);
     - the measured speedup is finite and positive.
 
     [T1000_FAULT_INJECT=fuzz-oracle] arms a deliberate off-by-one in

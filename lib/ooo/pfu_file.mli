@@ -20,7 +20,21 @@ val create :
   replacement:Mconfig.pfu_replacement ->
   t
 (** [n = None] models an unlimited PFU file: every configuration gets
-    its own unit and pays the load penalty once, on first use. *)
+    its own unit and pays the load penalty once, on first use.
+
+    A file of [Some n] units asked for at most [n] distinct
+    configurations behaves exactly like the unlimited one, whatever its
+    [replacement]: a unit is only loaded for a configuration no unit
+    holds, a loaded unit is never emptied again, and empty units are
+    never pinned, so while fewer than [n] configurations have been
+    loaded the victim search always finds an empty unit.  Nothing is
+    evicted, no request stalls and [Random_det] never draws; each
+    configuration keeps one unit from its first load on, so hits,
+    misses, prefetches, ready times and the simulator's per-unit busy
+    stamps match the unlimited file's (the unit ids differ, by a
+    bijection).  A file never asked for a configuration behaves the
+    same at any size, penalty and policy.  The run memo's key
+    ([Runner.inputs_key]) relies on both facts. *)
 
 type outcome =
   | Ready of {

@@ -329,6 +329,102 @@ let test_run_key_dse_njobs () =
   check_int "phase.sim calls identical" calls1 calls2;
   check_bool "fewer simulations than measured points" true (calls1 < measured)
 
+(* ---------- run-memo key: PFU-equivalent machines ---------- *)
+
+(* A PFU file with a unit for every configuration the program names
+   never evicts, so the run key reads it as the unlimited file: n =
+   confs, n > confs and None share one simulation under every
+   replacement policy, and only n < confs keys a run apart. *)
+
+let pfu_points base ns =
+  List.concat_map
+    (fun n_pfus ->
+      List.map
+        (fun replacement -> { base with Runner.n_pfus; replacement })
+        T1000_ooo.Mconfig.[ Lru; Fifo; Random_det ])
+    ns
+
+let pfu_label (s : Runner.setup) =
+  Printf.sprintf "%s/%s"
+    (match s.Runner.n_pfus with
+    | None -> "unlimited"
+    | Some n -> string_of_int n)
+    (match s.Runner.replacement with
+    | T1000_ooo.Mconfig.Lru -> "lru"
+    | Fifo -> "fifo"
+    | Random_det -> "rand")
+
+let test_run_key_pfu_equivalent () =
+  let w = workload "unepic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let unl = Runner.setup ~n_pfus:None ~penalty:10 Runner.Selective in
+  let calls = sim_calls () in
+  let r = Experiment.run_setup ctx w unl in
+  let confs = Runner.configurations r.Runner.program in
+  check_bool "the table loads several configurations" true (confs > 1);
+  let points = pfu_points unl [ Some confs; Some (confs + 4); None ] in
+  List.iter
+    (fun s ->
+      check_bool
+        (pfu_label s ^ " selects the unlimited table")
+        true (same_table ctx w unl s);
+      check_bool
+        (pfu_label s ^ " shares the unlimited run")
+        true
+        ((Experiment.run_setup ctx w s).Runner.stats == r.Runner.stats))
+    points;
+  check_int "one simulation for all nine points" (calls + 1) (sim_calls ());
+  (* The sharing is exact: each point simulated on its own machine,
+     outside the memo, gives the same statistics. *)
+  let analysis = Experiment.analysis ctx w
+  and table = Experiment.selection_table ctx w unl in
+  List.iter
+    (fun s ->
+      check_bool
+        (pfu_label s ^ " simulates to the unlimited stats")
+        true
+        ((Runner.run ~analysis ~table w s).Runner.stats = r.Runner.stats))
+    points
+
+let test_run_key_pfu_separates () =
+  (* Fewer units than configurations: the file evicts, and the count
+     and policy are simulation inputs again. *)
+  let w = workload "epic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let unl = Runner.setup ~n_pfus:None ~penalty:10 Runner.Greedy in
+  let confs =
+    Runner.configurations (Experiment.run_setup ctx w unl).Runner.program
+  in
+  check_bool "greedy on epic names more than two configurations" true
+    (confs > 2);
+  List.iter
+    (fun s ->
+      let calls = sim_calls () in
+      ignore (Experiment.run_setup ctx w s);
+      check_int (pfu_label s ^ " simulates anew") (calls + 1) (sim_calls ()))
+    (pfu_points unl [ Some 1; Some 2; Some (confs - 1) ]
+    |> List.sort_uniq compare)
+
+let test_run_key_empty_table () =
+  (* A selective setup whose filter keeps nothing runs the original
+     program on a PFU file nobody asks: its no-PFU baseline's run. *)
+  let w = workload "unepic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let s =
+    {
+      (Runner.setup ~n_pfus:(Some 3) ~penalty:50 Runner.Selective) with
+      Runner.gain_threshold = 1.0;
+      replacement = T1000_ooo.Mconfig.Fifo;
+    }
+  in
+  check_int "the table is empty" 0
+    (T1000_select.Extinstr.count (Experiment.selection_table ctx w s));
+  let b = Experiment.baseline_for ctx w s.Runner.machine in
+  let calls = sim_calls () in
+  let r = Experiment.run_setup ctx w s in
+  check_int "no simulation after the baseline" calls (sim_calls ());
+  check_bool "the baseline's stats" true (r.Runner.stats == b.Runner.stats)
+
 (* ---------- like-with-like speedups ---------- *)
 
 (* Every speedup is taken against the no-PFU baseline on the same
@@ -382,6 +478,12 @@ let () =
           Alcotest.test_case "run key: selfcheck" `Slow test_run_key_selfcheck;
           Alcotest.test_case "run key: dse at any worker count" `Slow
             test_run_key_dse_njobs;
+          Alcotest.test_case "run key: PFU-equivalent machines share" `Slow
+            test_run_key_pfu_equivalent;
+          Alcotest.test_case "run key: n < confs separates" `Slow
+            test_run_key_pfu_separates;
+          Alcotest.test_case "run key: an empty table shares the baseline"
+            `Slow test_run_key_empty_table;
           Alcotest.test_case "speedup against a same-machine baseline" `Slow
             test_speedup_same_machine;
         ] );
