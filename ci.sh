@@ -319,10 +319,11 @@ diff "$CKPT_DIR/dse_gain.out" "$CKPT_DIR/dse_gain_audited.out" || {
 
 echo "== dse: PFU-equivalent points under self-check =="
 # A PFU count at or above the program's configuration count reads as the
-# unlimited file in the run memo's key, under any replacement policy, so
-# such points share one simulation.  Self-check keys its runs apart and
-# audits each: the frontier must not change, and the plain run must make
-# fewer simulations than the exploration has simulation tasks.
+# unlimited file in the run memo's key, under any replacement policy, and
+# a one-PFU file has one victim under every policy, so it reads as the
+# LRU file: such points share one simulation.  Self-check keys its runs
+# apart and audits each: the frontier must not change, and the plain run
+# must make fewer simulations than the exploration has simulation tasks.
 DSE_PFU_AXES="pfus=1,2,4,8:penalty=0,100:lut=150:repl=lru,fifo,rand:gain=0.005:width=4"
 T1000_WORKLOADS=unepic T1000_METRICS=1 \
   timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_PFU_AXES" --budget 24 \
@@ -369,6 +370,39 @@ diff "$DSE_SEQ" "$DSE_RESUMED" || {
   echo "resumed dse frontier differs from the uninterrupted run" >&2
   exit 1
 }
+
+echo "== dse: a torn journal append resumes byte-identically =="
+# Records append to the journal one line each, so a kill mid-append
+# leaves its last record torn.  Cut the journal inside that record:
+# --resume must drop it (one diagnostic), compact the journal,
+# recompute the point and print the uninterrupted frontier byte for
+# byte; a second --resume must then find the journal clean.
+DSE_TORN=$(mktemp -d)
+T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 T1000_CHECKPOINT_DIR="$DSE_TORN" \
+  timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_AXES" --budget 12 \
+  > /dev/null
+DSE_JOURNAL=$(ls "$DSE_TORN"/*.journal)
+JOURNAL_BYTES=$(wc -c < "$DSE_JOURNAL")
+LAST_LINE_BYTES=$(tail -n 1 "$DSE_JOURNAL" | wc -c)
+head -c $((JOURNAL_BYTES - LAST_LINE_BYTES / 2)) "$DSE_JOURNAL" > "$DSE_TORN/cut"
+mv "$DSE_TORN/cut" "$DSE_JOURNAL"
+for round in torn clean; do
+  T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 T1000_CHECKPOINT_DIR="$DSE_TORN" \
+    timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_AXES" --budget 12 --resume \
+    > "$CKPT_DIR/dse_$round.out" 2> "$CKPT_DIR/dse_$round.err"
+  diff "$DSE_SEQ" "$CKPT_DIR/dse_$round.out" || {
+    echo "dse frontier resumed from a $round journal differs from the uninterrupted run" >&2
+    exit 1
+  }
+  DROPPED=$(grep -c "dropped corrupt checkpoint record" "$CKPT_DIR/dse_$round.err" || true)
+  EXPECTED=$([ "$round" = torn ] && echo 1 || echo 0)
+  if [ "$DROPPED" -ne "$EXPECTED" ]; then
+    echo "$round journal: expected $EXPECTED dropped record(s), got $DROPPED" >&2
+    cat "$CKPT_DIR/dse_$round.err" >&2
+    exit 1
+  fi
+done
+rm -rf "$DSE_TORN"
 
 echo "== serve: byte-stable replies, graceful drain, shedding, chaos =="
 # The selection-as-a-service daemon end to end: identical client output

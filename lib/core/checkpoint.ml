@@ -2,7 +2,7 @@
    record per line, last binding for a key wins.  The hex encoding keeps
    arbitrary keys and marshalled payloads newline- and space-free; the
    MD5 digest over [key NUL payload] detects truncated or corrupted
-   records so a journal damaged by a crash mid-rename (or a flipped
+   records so a journal damaged by a crash mid-append (or a flipped
    byte on disk) degrades to recomputing the damaged points, never to
    resuming from garbage. *)
 
@@ -96,23 +96,37 @@ let parse_line line =
   | _ when String.trim line = "" -> `Blank
   | _ -> `Corrupt "malformed line"
 
+(* Loads [path] into [tbl]; returns the dropped lines' diagnostics and
+   whether the file needs compacting: a dropped line, a superseded key
+   or a last line without its newline (a torn append, which the next
+   append must not glue onto). *)
 let load_file path tbl =
   let ic = open_in_bin path in
   let corrupt = ref [] in
-  let lineno = ref 0 in
+  let lineno = ref 0 and records = ref 0 in
   (try
      while true do
        let line = input_line ic in
        incr lineno;
        match parse_line line with
-       | `Ok (key, payload) -> Hashtbl.replace tbl key payload
+       | `Ok (key, payload) ->
+           incr records;
+           Hashtbl.replace tbl key payload
        | `Blank -> ()
        | `Corrupt why ->
            corrupt := Printf.sprintf "%s:%d: %s" path !lineno why :: !corrupt
      done
    with End_of_file -> ());
+  let len = in_channel_length ic in
+  let torn =
+    len > 0
+    && begin
+         seek_in ic (len - 1);
+         input_char ic <> '\n'
+       end
+  in
   close_in ic;
-  List.rev !corrupt
+  (List.rev !corrupt, !corrupt <> [] || !records > Hashtbl.length tbl || torn)
 
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = Filename.dir_sep || Sys.file_exists dir
@@ -122,42 +136,56 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+let line ~key payload =
+  Printf.sprintf "%s %s %s %s\n" magic (digest ~key payload) (hex_encode key)
+    (hex_encode payload)
+
+(* Compaction: every live record, sorted by key, into a temp file that
+   an atomic rename puts in place, so a kill at any instant leaves
+   either the old journal or the new one. *)
+let compact path tbl =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Hashtbl.fold (fun k p acc -> (k, p) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (key, payload) -> output_string oc (line ~key payload));
+  close_out oc;
+  Sys.rename tmp path
+
 let create ?(fresh = false) ~dir ~run () =
   mkdir_p dir;
   let path = Filename.concat dir (run ^ ".journal") in
   if fresh && Sys.file_exists path then Sys.remove path;
   let tbl = Hashtbl.create 64 in
-  let corrupt = if Sys.file_exists path then load_file path tbl else [] in
+  let corrupt =
+    if Sys.file_exists path then begin
+      let corrupt, dirty = load_file path tbl in
+      if dirty then compact path tbl;
+      corrupt
+    end
+    else []
+  in
   { path; mutex = Mutex.create (); tbl; corrupt }
 
-(* Full rewrite into a temp file followed by an atomic rename: a reader
-   (or a resumed run after a kill at any instant) sees either the old
-   journal or the new one, never a half-written line.  Journals are a
-   few KB per sweep, so the rewrite is noise next to one simulation. *)
-let flush_locked t =
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  let records =
-    Hashtbl.fold (fun k p acc -> (k, p) :: acc) t.tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (key, payload) ->
-      output_string oc
-        (Printf.sprintf "%s %s %s %s\n" magic (digest ~key payload)
-           (hex_encode key) (hex_encode payload)))
-    records;
-  close_out oc;
-  Sys.rename tmp t.path
-
+(* One [write] of one whole line on an [O_APPEND] descriptor: a kill
+   can tear only this line, which the next load drops and compacts
+   away. *)
 let record t ~key v =
   let payload = Marshal.to_string v [] in
+  let l = line ~key payload in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       Hashtbl.replace t.tbl key payload;
-      flush_locked t)
+      let fd =
+        Unix.openfile t.path
+          [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+          0o644
+      in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> ignore (Unix.write_substring fd l 0 (String.length l))))
 
 let mem t ~key =
   Mutex.lock t.mutex;

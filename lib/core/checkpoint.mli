@@ -8,12 +8,18 @@
     OCaml values round-trip exactly; the test suite asserts this).
 
     Robustness properties:
-    - every write is a full rewrite into a temp file followed by an
-      atomic [rename], so a kill at any instant leaves either the old
-      or the new journal, never a torn one;
+    - {!record} appends one line with a single [write] on an
+      [O_APPEND] descriptor, so a kill at any instant can tear only
+      the last line;
     - every record carries an MD5 checksum over its key and payload;
       records that fail the check at load time are dropped (reported
       via {!corrupt}) and their points recomputed;
+    - {!create} compacts a journal whose load dropped a line, found a
+      key recorded twice or found no final newline: the live records
+      go to a temp file that an atomic [rename] puts in place, so a
+      kill leaves either the old or the new journal, and the next
+      append never glues onto a torn line.  A clean journal opens
+      without a rewrite;
     - {!record} is mutex-protected and safe to call concurrently from
       the {!Pool} workers' completion callback.
 
@@ -40,8 +46,9 @@ val default_dir_validated : unit -> string option
 
 val create : ?fresh:bool -> dir:string -> run:string -> unit -> t
 (** Open (creating [dir] as needed) the journal for [run].  An existing
-    journal is loaded, dropping corrupted records; [~fresh:true]
-    discards it instead, for a from-scratch run. *)
+    journal is loaded, dropping corrupted records, and compacted if it
+    needs it (see above); [~fresh:true] discards it instead, for a
+    from-scratch run. *)
 
 val path : t -> string
 
@@ -62,5 +69,5 @@ val find : t -> key:string -> 'a option
     point label. *)
 
 val record : t -> key:string -> 'a -> unit
-(** Record (or overwrite) the value for [key] and atomically persist
-    the journal. *)
+(** Record (or overwrite) the value for [key] and append its line to
+    the journal.  The last line for a key wins at load. *)

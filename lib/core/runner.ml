@@ -246,8 +246,8 @@ let configurations program =
 (* A machine that simulates exactly like [m] on a program naming
    [confs] configurations (Pfu_file.create): a PFU file with a unit for
    each never evicts, so its size beyond [confs] and its replacement
-   policy do not matter, and a file never asked does not matter at
-   all. *)
+   policy do not matter, a file of one unit has one victim whatever
+   its policy, and a file never asked does not matter at all. *)
 let canonical_machine ~confs (m : Mconfig.t) =
   let unlimited penalty =
     {
@@ -260,7 +260,8 @@ let canonical_machine ~confs (m : Mconfig.t) =
   if confs = 0 then unlimited 0
   else
     match m.Mconfig.n_pfus with
-    | Some n when n < confs -> m
+    | Some n when n < confs ->
+        if n = 1 then { m with Mconfig.pfu_replacement = Mconfig.Lru } else m
     | Some _ | None -> unlimited m.Mconfig.pfu_reconfig_cycles
 
 (* Everything [simulate] reads besides the workload, with the machine

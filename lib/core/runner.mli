@@ -136,13 +136,15 @@ val inputs_key : prepared -> string
     {!configurations} of the rewritten program: [confs = 0] reads as an
     unlimited file with penalty 0 and LRU; [n_pfus = None], or
     [Some n] with [n >= confs], reads as an unlimited file with LRU and
-    the machine's penalty; [Some n] with [n < confs] is digested as it
-    is.  This is exact, not a heuristic: such PFU files simulate
-    identically ({!T1000_ooo.Pfu_file.create}).  So the PFU-count and
-    replacement points of a sweep that never fill the file, and a
-    setup whose table comes out empty and its no-PFU baseline, share
-    one key.  Only the key is canonical; {!simulate} runs the
-    machine it was given. *)
+    the machine's penalty; [Some 1] with [confs > 1] reads as itself
+    under LRU, since one unit is the only victim under every policy;
+    any other [Some n] with [n < confs] is digested as it is.  This is
+    exact, not a heuristic: such PFU files simulate identically
+    ({!T1000_ooo.Pfu_file.create}).  So the PFU-count and replacement
+    points of a sweep that never fill the file, the replacement points
+    at one PFU, and a setup whose table comes out empty and its no-PFU
+    baseline, share one key.  Only the key is canonical; {!simulate}
+    runs the machine it was given. *)
 
 val simulate : prepared -> Stats.t
 (** The rest of {!run}: simulate, then the output and self-checks

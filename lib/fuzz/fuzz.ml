@@ -154,8 +154,8 @@ let drill ~dir rng round =
   List.iter2 (fun key v -> Checkpoint.record j ~key v) keys vals;
   let path = Checkpoint.path j in
   let reload () = Checkpoint.create ~dir ~run () in
-  (* The journal flushes records sorted by key and keys are k00..k09,
-     so line [i] of the file is exactly [List.nth keys i]. *)
+  (* The journal appends records in the order they are recorded, k00
+     to k09, so line [i] of the file is exactly [List.nth keys i]. *)
   let line_bounds s =
     (* offsets of (start, length) of each newline-terminated line *)
     let rec go off acc =
@@ -165,20 +165,23 @@ let drill ~dir rng round =
     in
     go 0 []
   in
+  (* Truncate inside the final record, as a crash mid-append would,
+     keeping at most the file's first [len - keep] bytes. *)
+  let tear ~keep =
+    let s = read_file path in
+    let len = String.length s in
+    let body = String.sub s 0 (len - 1) in
+    let idx =
+      match String.rindex_opt body '\n' with Some i -> i + 1 | None -> 0
+    in
+    write_file path (String.sub s 0 (Rng.range rng (idx + 1) (len - keep)))
+  in
+  let last = List.nth keys (k - 1) in
   let damaged, expect_corrupt =
-    match Rng.int rng 4 with
+    match Rng.int rng 5 with
     | 0 ->
-        (* torn last line: truncate strictly inside the final record,
-           as a crash mid-write (without the atomic rename) would *)
-        let s = read_file path in
-        let len = String.length s in
-        let body = String.sub s 0 (len - 1) in
-        let idx =
-          match String.rindex_opt body '\n' with Some i -> i + 1 | None -> 0
-        in
-        let cut = Rng.range rng (idx + 1) (len - 2) in
-        write_file path (String.sub s 0 cut);
-        ([ List.nth keys (k - 1) ], 1)
+        tear ~keep:2;
+        ([ last ], 1)
     | 1 ->
         (* flip a low bit of one byte inside a random record: whether it
            lands in the magic, the digest, the hex key or the payload,
@@ -206,12 +209,20 @@ let drill ~dir rng round =
         let s2 = read_file path in
         write_file path (s2 ^ old_line ^ "\n");
         ([], 0)
-    | _ ->
+    | 3 ->
         (* blank lines are tolerated; a garbage line is one corrupt
            record and nothing else *)
         let s = read_file path in
         write_file path (s ^ "\n\nthis is not a journal record\n");
         ([], 1)
+    | _ ->
+        (* torn append, down to a last record that lost only its
+           newline: the reload compacts the tail away, so the record
+           that follows appends a whole line instead of gluing onto
+           the torn one *)
+        tear ~keep:1;
+        Checkpoint.record (reload ()) ~key:last (List.nth vals (k - 1));
+        ([], 0)
   in
   let j2 = reload () in
   let n_corrupt = List.length (Checkpoint.corrupt j2) in
@@ -235,9 +246,9 @@ let drill ~dir rng round =
         | Some _ -> err "healthy key %s came back with a different value" key
         | None -> err "healthy key %s was lost" key)
     keys vals;
-  (* a resumed sweep recomputes exactly the damaged records; after the
-     first re-record the journal is rewritten whole, so a further
-     reload must be pristine *)
+  (* a resumed sweep recomputes exactly the damaged records; the reload
+     that dropped them compacted the journal, so the re-records append
+     cleanly and a further reload must be pristine *)
   if damaged <> [] then begin
     List.iter2
       (fun key v -> if List.mem key damaged then Checkpoint.record j2 ~key v)

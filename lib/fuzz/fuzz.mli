@@ -38,11 +38,11 @@ val corruption_drills : ?dir:string -> seed:int -> rounds:int -> unit -> string 
 (** Fuzz the checkpoint journal itself: build a healthy journal, then
     per round apply one random corruption — truncate mid-record (torn
     last line), flip a bit inside a checksummed record, append a
-    duplicate key (the last record must win), or append garbage — and
-    assert {!T1000.Checkpoint.create} drops exactly the damaged
-    records, keeps every healthy one bit-exact, and that re-recording
-    the damaged keys (a resumed sweep recomputing them) heals the
-    journal completely.  Returns one diagnostic per violated
+    duplicate key (the last record must win), append garbage, or tear
+    the last record and record after it (a torn append) — and assert
+    {!T1000.Checkpoint.create} drops exactly the damaged records, keeps
+    every healthy one bit-exact, and that re-recording the damaged keys
+    (a resumed sweep recomputing them) heals the journal completely.  Returns one diagnostic per violated
     assertion; empty means all [rounds] drills passed.  Journals live
     under [dir] (default: the system temp directory). *)
 

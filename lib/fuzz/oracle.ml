@@ -132,8 +132,9 @@ let check (c : Gen.case) : (unit, failure) result =
             in
             (* A PFU file with a unit per configuration never evicts,
                so it must simulate like the unlimited file under any
-               replacement policy: what lets the run memo key both
-               alike (Runner.inputs_key). *)
+               replacement policy, and a one-unit file like itself
+               under any policy: what lets the run memo key them alike
+               (Runner.inputs_key). *)
             let* () =
               let confs = Runner.configurations r.Runner.program in
               if confs = 0 then Ok ()
@@ -156,13 +157,30 @@ let check (c : Gen.case) : (unit, failure) result =
                 in
                 let unlimited = rerun None setup.Runner.replacement
                 and full = rerun (Some confs) other in
-                if unlimited = full then Ok ()
-                else
+                if unlimited <> full then
                   fail name "pfu-equivalence"
                     "statistics differ between %d PFUs for %d \
                      configurations (%d cycles) and unlimited PFUs (%d \
                      cycles)"
                     confs confs full.Stats.cycles unlimited.Stats.cycles
+                else if confs = 1 then Ok ()
+                else
+                  (* One unit is the only victim under every policy. *)
+                  let lru = rerun (Some 1) Mconfig.Lru in
+                  match
+                    List.find_opt
+                      (fun (_, s) -> s <> lru)
+                      [
+                        ("fifo", rerun (Some 1) Mconfig.Fifo);
+                        ("random", rerun (Some 1) Mconfig.Random_det);
+                      ]
+                  with
+                  | None -> Ok ()
+                  | Some (policy, s) ->
+                      fail name "pfu-equivalence"
+                        "statistics differ on one PFU between %s (%d \
+                         cycles) and lru (%d cycles)"
+                        policy s.Stats.cycles lru.Stats.cycles
             in
             let sp = Runner.speedup ~baseline r in
             if not (Float.is_finite sp && sp > 0.0) then

@@ -25,8 +25,10 @@
     - pfu-equivalence: each greedy and selective run whose program
       names [confs > 0] configurations, repeated on an unlimited PFU
       file and on a file of exactly [confs] units under another
-      replacement policy, returns equal statistics both times (the
-      equivalence {!T1000.Runner.inputs_key} keys on);
+      replacement policy, returns equal statistics both times; when
+      [confs > 1], runs on a one-unit file under [Fifo] and
+      [Random_det] return the [Lru] run's statistics (the
+      equivalences {!T1000.Runner.inputs_key} keys on);
     - the measured speedup is finite and positive.
 
     [T1000_FAULT_INJECT=fuzz-oracle] arms a deliberate off-by-one in

@@ -33,8 +33,14 @@ val create :
     misses, prefetches, ready times and the simulator's per-unit busy
     stamps match the unlimited file's (the unit ids differ, by a
     bijection).  A file never asked for a configuration behaves the
-    same at any size, penalty and policy.  The run memo's key
-    ([Runner.inputs_key]) relies on both facts. *)
+    same at any size, penalty and policy.
+
+    A file of [Some 1] unit behaves the same under every [replacement]:
+    the victim search takes the unit if it is empty, else the unit if
+    it is unpinned, else none, whatever the policy; [Random_det] draws
+    [next mod 1 = 0], the same unit, and its generator is read nowhere
+    else.  The run memo's key ([Runner.inputs_key]) relies on all three
+    facts. *)
 
 type outcome =
   | Ready of {

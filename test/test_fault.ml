@@ -207,7 +207,8 @@ let test_checkpoint_torn_last_line () =
   let j = Checkpoint.create ~fresh:true ~dir ~run:"torn" () in
   Checkpoint.record j ~key:"a" 1.0;
   Checkpoint.record j ~key:"b" 2.0;
-  (* records flush sorted by key, so chopping the tail tears "b" *)
+  (* records append in the order recorded, so chopping the tail tears
+     "b" *)
   let path = Checkpoint.path j in
   let s = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
@@ -218,7 +219,8 @@ let test_checkpoint_torn_last_line () =
   check_bool "survivor intact, torn one absent" true
     (Checkpoint.find j2 ~key:"a" = Some 1.0
     && (Checkpoint.find j2 ~key:"b" : float option) = None);
-  (* recomputing the torn point heals the journal on the next flush *)
+  (* the load compacted the torn tail away, so recomputing the torn
+     point appends a whole line and heals the journal *)
   Checkpoint.record j2 ~key:"b" 2.0;
   let j3 = Checkpoint.create ~dir ~run:"torn" () in
   check_bool "healed" true
@@ -282,6 +284,67 @@ let test_checkpoint_pinned_line () =
     "t1000v1 64c9938307397b0baab86cf7d10337ae 66322f756e6570696300ff \
      8495a6be00000005000000020000000500000005a06a226f6b\n"
     (In_channel.with_open_bin (Checkpoint.path j) In_channel.input_all)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* The compacted journal of string records [k -> k]: sorted by key. *)
+let compacted keys =
+  String.concat ""
+    (List.map
+       (fun k -> journal_line ~key_hex:(reference_hex k) ~key:k
+           (Marshal.to_string k []))
+       (List.sort compare keys))
+
+let test_checkpoint_append () =
+  let dir = fresh_dir () in
+  let j = Checkpoint.create ~fresh:true ~dir ~run:"append" () in
+  Checkpoint.record j ~key:"b" "b";
+  let path = Checkpoint.path j in
+  let before = read_bytes path in
+  Checkpoint.record j ~key:"a" "a";
+  Alcotest.(check string)
+    "the file grows by exactly the new line" (before ^ compacted [ "a" ])
+    (read_bytes path);
+  check_bool "no temp file" false (Sys.file_exists (path ^ ".tmp"))
+
+let test_checkpoint_clean_open () =
+  let dir = fresh_dir () in
+  let j = Checkpoint.create ~fresh:true ~dir ~run:"clean" () in
+  (* out of key order, which a compaction would sort *)
+  List.iter (fun k -> Checkpoint.record j ~key:k k) [ "c"; "a"; "b" ];
+  let path = Checkpoint.path j in
+  let bytes = read_bytes path and inode = (Unix.stat path).Unix.st_ino in
+  let j2 = Checkpoint.create ~dir ~run:"clean" () in
+  check_int "every record loads" 3 (Checkpoint.completed j2);
+  Alcotest.(check string) "bytes unchanged" bytes (read_bytes path);
+  check_int "the same file, not a renamed copy" inode
+    (Unix.stat path).Unix.st_ino
+
+let test_checkpoint_load_compacts () =
+  let dir = fresh_dir () in
+  let compacts what damage live =
+    let j = Checkpoint.create ~fresh:true ~dir ~run:"compact" () in
+    List.iter (fun k -> Checkpoint.record j ~key:k k) [ "c"; "a"; "b" ];
+    let path = Checkpoint.path j in
+    damage j path;
+    ignore (Checkpoint.create ~dir ~run:"compact" ());
+    Alcotest.(check string) (what ^ ": compacted") (compacted live)
+      (read_bytes path);
+    check_bool (what ^ ": no temp file") false
+      (Sys.file_exists (path ^ ".tmp"))
+  in
+  compacts "damaged"
+    (fun _ path -> corrupt_first_line path)
+    [ "a"; "b" ];
+  compacts "duplicated"
+    (fun j _ -> Checkpoint.record j ~key:"a" "a")
+    [ "a"; "b"; "c" ];
+  compacts "newline lost"
+    (fun _ path ->
+      let s = read_bytes path in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.sub s 0 (String.length s - 1))))
+    [ "a"; "b"; "c" ]
 
 (* Only the lowercase pairs the encoder writes decode.  [a_] once read
    as byte 0x0a (through [int_of_string "0xa_"]) and an uppercase pair
@@ -605,6 +668,12 @@ let () =
             test_checkpoint_pinned_line;
           Alcotest.test_case "hex: non-canonical pairs are corrupt" `Quick
             test_checkpoint_noncanonical_hex;
+          Alcotest.test_case "record appends one line" `Quick
+            test_checkpoint_append;
+          Alcotest.test_case "a clean journal opens unchanged" `Quick
+            test_checkpoint_clean_open;
+          Alcotest.test_case "a damaged or duplicated journal compacts" `Quick
+            test_checkpoint_load_compacts;
         ] );
       ( "runner",
         [

@@ -334,7 +334,8 @@ let test_run_key_dse_njobs () =
 (* A PFU file with a unit for every configuration the program names
    never evicts, so the run key reads it as the unlimited file: n =
    confs, n > confs and None share one simulation under every
-   replacement policy, and only n < confs keys a run apart. *)
+   replacement policy.  Only n < confs keys a run apart, and at n = 1
+   only by penalty: one unit is the only victim under every policy. *)
 
 let pfu_points base ns =
   List.concat_map
@@ -388,7 +389,7 @@ let test_run_key_pfu_equivalent () =
 
 let test_run_key_pfu_separates () =
   (* Fewer units than configurations: the file evicts, and the count
-     and policy are simulation inputs again. *)
+     and policy are simulation inputs again, except at one unit. *)
   let w = workload "epic" in
   let ctx = Experiment.create_ctx ~workloads:[ w ] () in
   let unl = Runner.setup ~n_pfus:None ~penalty:10 Runner.Greedy in
@@ -401,9 +402,47 @@ let test_run_key_pfu_separates () =
     (fun s ->
       let calls = sim_calls () in
       ignore (Experiment.run_setup ctx w s);
-      check_int (pfu_label s ^ " simulates anew") (calls + 1) (sim_calls ()))
+      let one_unit_rerun =
+        s.Runner.n_pfus = Some 1 && s.Runner.replacement <> T1000_ooo.Mconfig.Lru
+      in
+      if one_unit_rerun then
+        check_int (pfu_label s ^ " shares 1/lru") calls (sim_calls ())
+      else
+        check_int (pfu_label s ^ " simulates anew") (calls + 1) (sim_calls ()))
     (pfu_points unl [ Some 1; Some 2; Some (confs - 1) ]
     |> List.sort_uniq compare)
+
+let test_run_key_one_pfu_shares () =
+  (* Greedy epic thrashes a one-unit file, which evicts its only unit
+     under every policy: one simulation per penalty. *)
+  let w = workload "epic" in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let base = Runner.setup ~n_pfus:(Some 1) ~penalty:10 Runner.Greedy in
+  List.iter
+    (fun penalty ->
+      let points = pfu_points { base with Runner.penalty } [ Some 1 ] in
+      let calls = sim_calls () in
+      let runs = List.map (Experiment.run_setup ctx w) points in
+      check_int
+        (Printf.sprintf "one simulation at penalty %d" penalty)
+        (calls + 1) (sim_calls ());
+      let first = List.hd runs in
+      check_bool "the file thrashes" true
+        (first.Runner.stats.T1000_ooo.Stats.pfu_misses
+        > Runner.configurations first.Runner.program);
+      (* The sharing is exact: each point simulated on its own machine,
+         outside the memo, gives the same statistics. *)
+      let analysis = Experiment.analysis ctx w in
+      List.iter2
+        (fun s (r : Runner.run) ->
+          check_bool
+            (Printf.sprintf "%s at penalty %d simulates to the shared stats"
+               (pfu_label s) penalty)
+            true
+            ((Runner.run ~analysis ~table:r.Runner.table w s).Runner.stats
+            = first.Runner.stats))
+        points runs)
+    [ 10; 100 ]
 
 let test_run_key_empty_table () =
   (* A selective setup whose filter keeps nothing runs the original
@@ -482,6 +521,8 @@ let () =
             test_run_key_pfu_equivalent;
           Alcotest.test_case "run key: n < confs separates" `Slow
             test_run_key_pfu_separates;
+          Alcotest.test_case "run key: one-PFU policies share" `Slow
+            test_run_key_one_pfu_shares;
           Alcotest.test_case "run key: an empty table shares the baseline"
             `Slow test_run_key_empty_table;
           Alcotest.test_case "speedup against a same-machine baseline" `Slow

@@ -952,7 +952,7 @@ let test_e2e_health () =
    the whole queue occupied by a slow request, a health probe on a
    second connection still answers while the slow request is running. *)
 let test_e2e_health_bypasses_queue () =
-  with_server ~queue:1 ~njobs:1 @@ fun _srv addr ->
+  with_server ~queue:1 ~njobs:1 @@ fun srv addr ->
   let slow_done = Atomic.make false in
   let slow =
     Thread.create
@@ -963,7 +963,14 @@ let test_e2e_health_bypasses_queue () =
         Atomic.set slow_done true)
       ()
   in
-  Thread.delay 0.1;
+  (* Probe as soon as the slow request is admitted: it simulates for
+     under 0.1 s on a fast host, so a fixed delay can outlast it. *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (Server.health srv).Protocol.inflight = 0 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "the slow request was never admitted";
+    Thread.delay 0.001
+  done;
   let c = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
       match Client.health c with
