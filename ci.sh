@@ -138,6 +138,22 @@ FUZZ_DIR="$CKPT_DIR/fuzz"
 timeout 900 dune exec bin/t1000_cli.exe -- fuzz \
   --seed 42 --cases 100 --drills 10 --out "$FUZZ_DIR"
 
+echo "== fuzz: a chaos-perturbed sweep reports the calm result =="
+# The sweep runs on the worker pool, so T1000_CHAOS injects faults
+# into its cases; the pool's retries must absorb every one and the
+# report must equal a calm run's, elapsed-time line aside.
+timeout 900 dune exec bin/t1000_cli.exe -- fuzz \
+  --seed 42 --cases 100 --drills 0 --out "$FUZZ_DIR" \
+  | grep -v ' cases/s)' > "$CKPT_DIR/fuzz_calm.out"
+T1000_CHAOS=0.3 T1000_CHAOS_SEED=5 T1000_BACKOFF_SCALE=0 \
+  timeout 900 dune exec bin/t1000_cli.exe -- fuzz \
+  --seed 42 --cases 100 --drills 0 --out "$FUZZ_DIR" \
+  | grep -v ' cases/s)' > "$CKPT_DIR/fuzz_chaos.out"
+diff "$CKPT_DIR/fuzz_calm.out" "$CKPT_DIR/fuzz_chaos.out" || {
+  echo "chaotic fuzz sweep differs from the calm run" >&2
+  exit 1
+}
+
 echo "== fuzz: 2000 self-checked programs through the RUU wake paths =="
 # A second fixed seed, no drills: each case draws its PFU penalty
 # (0/1/10/100) and branch predictor at random and runs Sim.run under

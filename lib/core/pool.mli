@@ -3,17 +3,16 @@
 
     Every sweep in {!Experiment} is a bag of independent, deterministic
     (workload x configuration) simulations, so the engine fans them out
-    over domains with {!parallel_map} and reassembles the results in
-    input order.  Because each task is pure (no shared mutable state
-    beyond the mutex-protected memo tables in {!Experiment}), parallel
-    results are bit-identical to sequential ones; the test suite
-    asserts this.
+    over domains with {!parallel_map_result} and reassembles the
+    results in input order.  Because each task is pure (no shared
+    mutable state beyond the mutex-protected memo tables in
+    {!Experiment}), parallel results are bit-identical to sequential
+    ones; the test suite asserts this.
 
     The default worker count comes from the [T1000_NJOBS] environment
-    variable when set, else {!Domain.recommended_domain_count}.
-    [T1000_NJOBS=1] disables the pool entirely: [parallel_map] then
-    degrades to a plain [List.map] on the calling domain, with no
-    domains spawned. *)
+    variable when set, else {!Domain.recommended_domain_count}.  At
+    [T1000_NJOBS=1] the one worker loop runs on the calling domain and
+    spawns no domain. *)
 
 val default_njobs : unit -> int
 (** Worker count used when [?njobs] is not given: the value of the
@@ -23,20 +22,6 @@ val default_njobs : unit -> int
       if [T1000_NJOBS] is set to anything other than a positive
       integer (or the empty string, which counts as unset). *)
 
-val parallel_map : ?njobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_map f xs] is [List.map f xs] computed by [njobs] workers
-    (the calling domain plus [njobs - 1] spawned domains) pulling tasks
-    from a shared counter.  Results are returned in input order
-    regardless of completion order.
-
-    If any application of [f] raises, remaining tasks are abandoned,
-    all domains are joined, and the exception raised by the
-    lowest-index failing element is re-raised on the calling domain
-    (deterministic even when several tasks fail).
-
-    With [njobs = 1] (explicitly, or via [T1000_NJOBS=1]) no domain is
-    spawned and the input is mapped sequentially. *)
-
 val parallel_map_result :
   ?njobs:int ->
   ?retries:int ->
@@ -44,31 +29,40 @@ val parallel_map_result :
   ('a -> 'b) ->
   'a list ->
   ('b, Fault.t) result list
-(** Fault-isolating variant of {!parallel_map}: every application of
-    [f] that raises yields [Error (Fault.of_exn e)] {e for that element
-    only} — no task is abandoned, all remaining elements still run, and
-    the result list (in input order) pairs every input with either its
-    value or its classified fault.  This is what lets a sweep return
-    partial rows plus a fault report instead of aborting the figure.
+(** [parallel_map_result f xs] applies [f] to every element of [xs]
+    on [njobs] workers (the calling domain plus [njobs - 1] spawned
+    domains) pulling tasks from one shared queue, and returns the
+    results in input order regardless of completion order.  At
+    [njobs = 1] (explicitly, or via [T1000_NJOBS=1]) the same loop runs
+    on the calling domain alone: no domain is spawned, tasks run in
+    input order and no worker is ever killed.
+
+    Every application of [f] that raises yields
+    [Error (Fault.of_exn e)] {e for that element only} — no task is
+    abandoned, all remaining elements still run, and the result list
+    pairs every input with either its value or its classified fault.
+    This is what lets a sweep return partial rows plus a fault report
+    instead of aborting the figure.
 
     [?retries] bounds how many times a {!Fault.transient} failure
     ([Injected]/[Crashed]) of one element is retried, with capped
     exponential backoff (1 ms doubling to a 50 ms cap) between
-    attempts; deterministic faults are never retried.  Default: the
-    [T1000_RETRIES] environment variable when set, else 10 under
-    chaos mode (see below), else 0 — so a deterministic injection via
-    [T1000_FAULT_INJECT] still surfaces as it did before.
+    attempts, run inline on the same worker; deterministic faults are
+    never retried.  Default: the [T1000_RETRIES] environment variable
+    when set, else 10 under chaos mode (see below), else 0 — so a
+    deterministic injection via [T1000_FAULT_INJECT] still surfaces as
+    it did before.
 
     {b Chaos mode.}  Setting [T1000_CHAOS=p] (a probability in
     [\[0, 1)]) makes the pool adversarial: each task attempt fails with
     a transient [Fault.Injected] with probability [p], and with
-    probability [p/2] per dequeue a worker domain "dies" mid-sweep —
-    it requeues its task, spawns a replacement domain, and exits.
-    Every chaos decision is a pure hash of ([T1000_CHAOS_SEED], task
-    index, per-task counter), never of wall-clock or scheduling, so
-    with retries available the surviving results are identical to a
-    calm run at any worker count — the soak tests and [ci.sh] diff
-    the two byte-for-byte.  {!chaos_events} exposes cumulative
+    probability [p/2] per dequeue (for [njobs > 1]) a worker domain
+    "dies" mid-sweep — it requeues its task, spawns a replacement
+    domain, and exits.  Every chaos decision is a pure hash of
+    ([T1000_CHAOS_SEED], task index, per-task counter), never of
+    wall-clock or scheduling, so with retries available the surviving
+    results are identical to a calm run at any worker count — the soak
+    tests and [ci.sh] diff the two byte-for-byte.  {!chaos_events} exposes cumulative
     injection/kill counters for such assertions.
 
     [?on_result] is invoked once per element, with the element's input
@@ -83,22 +77,21 @@ val parallel_map_result :
 
 val run_result :
   ?index:int -> ?retries:int -> (unit -> 'a) -> ('a, Fault.t) result
-(** Request-level submission: run one task under the pool's fault
-    envelope — exceptions classified into {!Fault.t}, deterministic
-    chaos injection (see {!parallel_map_result}), and transient-fault
-    retry with capped exponential backoff — without building a list
-    map.  [?index] keys the chaos hash (pass a request sequence number
-    so each request draws an independent, reproducible fate); [?retries]
-    defaults exactly as in {!parallel_map_result} ([T1000_RETRIES],
-    else 10 under chaos, else 0).  This is what the serve daemon's
+(** Request-level submission: run one task through the same attempt
+    envelope as one element of {!parallel_map_result} — exceptions
+    classified into {!Fault.t}, deterministic chaos injection, and
+    transient-fault retry with capped exponential backoff — without
+    building a list map.  [?index] keys the chaos hash (pass a request
+    sequence number so each request draws an independent, reproducible
+    fate); [?retries] defaults exactly as in {!parallel_map_result}
+    ([T1000_RETRIES], else 10 under chaos, else 0).  This is what the serve daemon's
     workers wrap every request in. *)
 
 val chaos_kill_worker : index:int -> pops:int -> bool
 (** The deterministic chaos worker-kill decision for long-lived worker
-    loops outside {!parallel_map_result} (the serve daemon's domains):
-    [true] with probability [p/2] keyed on ([T1000_CHAOS_SEED], [index],
-    [pops]), incrementing the [pool.chaos.killed] counter when it
-    fires.  [pops] should count how many times the work item has been
+    loops that are not a map (the serve daemon's domains): [true] with
+    probability [p/2] keyed on ([T1000_CHAOS_SEED], [index], [pops]),
+    incrementing the [pool.chaos.killed] counter when it fires.  [pops] should count how many times the work item has been
     dequeued, so a requeued item draws a fresh decision.  Always [false]
     when chaos is off. *)
 
@@ -131,7 +124,8 @@ val env_retries : unit -> int option
 
 val chaos_events : unit -> int * int
 (** Cumulative ([injected], [killed]) chaos-event counters across all
-    {!parallel_map_result} calls in this process; tests subtract
+    {!parallel_map_result} and {!run_result} calls in this process;
+    tests subtract
     before/after snapshots to assert chaos actually perturbed a run.
 
     The counters are backed by the [Obs.Metrics] counters
@@ -140,5 +134,6 @@ val chaos_events : unit -> int * int
     [pool.maps] / [pool.tasks] / [pool.retries] counters, the
     [pool.task_wait_ms] queue-wait histogram and the [pool.busy_s] /
     [pool.wall_s] accumulators (worker utilization is
-    [busy / (wall x njobs)]), and emits [pool.map] / [pool.task] spans
-    when tracing is enabled. *)
+    [busy / (wall x njobs)]; busy time includes retry backoff, which
+    holds the worker), and emits one [pool.map] span per map and one
+    [pool.task] span per element when tracing is enabled. *)

@@ -1,4 +1,5 @@
 module Pool = T1000.Pool
+module Fault = T1000.Fault
 module Checkpoint = T1000.Checkpoint
 module Experiment = T1000.Experiment
 module Workload = T1000_workloads.Workload
@@ -85,14 +86,15 @@ let write_repro ~out_dir ~run_seed ~index ~case_seed ~(failure : Oracle.failure)
 let run_cases ?(out_dir = "_fuzz") ?njobs ~seed ~cases () =
   let t0 = Unix.gettimeofday () in
   let checked =
-    (* plain parallel_map, not the chaos-aware result variant: the fuzz
-       sweep is the measuring instrument and must not be perturbed by
-       T1000_CHAOS itself *)
-    Pool.parallel_map ?njobs
+    Pool.parallel_map_result ?njobs
       (fun i ->
         let cs = Rng.derive seed i in
         (i, cs, Oracle.check (Gen.generate ~seed:cs)))
       (List.init cases Fun.id)
+    (* [Oracle.check] turns every exception into an [Error], so a fault
+       here is a T1000_CHAOS injection that outlived its retries; the
+       lowest-index one is raised, as [Experiment.strict] does. *)
+    |> List.map (function Ok c -> c | Error f -> raise (Fault.Error f))
   in
   let failures =
     List.filter_map

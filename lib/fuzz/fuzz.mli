@@ -30,7 +30,10 @@ val run_cases :
     (fanned out over the {!T1000.Pool} workers), shrink every failure
     to a minimal reproducer and write one artifact per failure under
     [out_dir] (default ["_fuzz"]), named after the run seed and case
-    number. *)
+    number.  Under [T1000_CHAOS] the pool's retries absorb every
+    injected fault, so the outcome equals a calm run's.
+    @raise T1000.Fault.Error
+      with the lowest-index injected fault that outlived its retries. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 

@@ -18,8 +18,8 @@
     Counter increments are plain (per-domain) writes; a {!snapshot}
     taken while worker domains are still recording may lag their most
     recent events.  After the domains have been joined (every
-    [Pool.parallel_map*] joins before returning) the merged view is
-    exact — the test suite relies on this. *)
+    [Pool.parallel_map_result] joins before returning) the merged
+    view is exact — the test suite relies on this. *)
 
 val incr : ?by:int -> string -> unit
 (** Add [by] (default 1) to the named counter. *)

@@ -418,6 +418,59 @@ let test_chaos_retries_exhausted () =
   Alcotest.(check bool) "but non-injected tasks still succeed" true
     (List.exists Result.is_ok rs)
 
+(* At njobs = 1 the pool's one worker loop runs on the calling domain:
+   under chaos every task still runs there, no worker is killed, and
+   the retries still deliver the calm results. *)
+let test_chaos_sequential_on_caller () =
+  let xs = List.init 300 Fun.id in
+  let calm = Pool.parallel_map_result ~njobs:1 (fun i -> i * 7) xs in
+  let caller = Domain.self () in
+  let elsewhere = Atomic.make 0 in
+  let f i =
+    if Domain.self () <> caller then Atomic.incr elsewhere;
+    i * 7
+  in
+  with_env "T1000_CHAOS" "0.4" @@ fun () ->
+  with_env "T1000_CHAOS_SEED" "9" @@ fun () ->
+  with_env "T1000_BACKOFF_SCALE" "0" @@ fun () ->
+  let injected0, killed0 = Pool.chaos_events () in
+  let stormy = Pool.parallel_map_result ~njobs:1 f xs in
+  let injected1, killed1 = Pool.chaos_events () in
+  Alcotest.(check bool) "chaos injected faults" true (injected1 > injected0);
+  Alcotest.(check int) "every task ran on the caller" 0 (Atomic.get elsewhere);
+  Alcotest.(check int) "no worker killed" killed0 killed1;
+  Alcotest.(check bool) "stormy results identical to calm" true
+    (stormy = calm)
+
+(* The fuzz sweep runs on the pool too: retries absorb every injected
+   fault, and without retries the lowest-index injection surfaces. *)
+let test_fuzz_sweep_chaos () =
+  let sweep () = F.Fuzz.run_cases ~seed:42 ~cases:50 () in
+  Alcotest.(check int) "calm sweep is clean" 0
+    (List.length (sweep ()).F.Fuzz.failures);
+  with_env "T1000_CHAOS" "0.3" @@ fun () ->
+  with_env "T1000_BACKOFF_SCALE" "0" @@ fun () ->
+  let injected0, _ = Pool.chaos_events () in
+  let stormy = sweep () in
+  let injected1, _ = Pool.chaos_events () in
+  Alcotest.(check bool) "chaos injected faults" true (injected1 > injected0);
+  Alcotest.(check int) "stormy sweep is clean too" 0
+    (List.length stormy.F.Fuzz.failures);
+  with_env "T1000_RETRIES" "0" @@ fun () ->
+  (* the same draws, read back from a map over the case indices *)
+  let lowest =
+    Pool.parallel_map_result ~njobs:1 Fun.id (List.init 50 Fun.id)
+    |> List.find_map (function
+         | Error (Fault.Injected m) -> Some m
+         | _ -> None)
+  in
+  match (lowest, sweep ()) with
+  | None, _ -> Alcotest.fail "no injection among 50 tasks at p = 0.3"
+  | Some _, _ -> Alcotest.fail "expected the injected fault to be raised"
+  | exception Fault.Error (Fault.Injected m) ->
+      Alcotest.(check (option string)) "lowest injected index raised" lowest
+        (Some m)
+
 let test_on_result_crash_isolated () =
   let xs = List.init 100 Fun.id in
   let run njobs =
@@ -521,6 +574,10 @@ let () =
             test_chaos_retries_exhausted;
           Alcotest.test_case "on_result crash isolated" `Quick
             test_on_result_crash_isolated;
+          Alcotest.test_case "njobs=1 stays on the caller" `Quick
+            test_chaos_sequential_on_caller;
+          Alcotest.test_case "fuzz sweep under chaos" `Quick
+            test_fuzz_sweep_chaos;
           Alcotest.test_case "env validation" `Quick test_chaos_env_validation;
         ] );
       ( "drills",

@@ -100,14 +100,14 @@ let test_metrics_merge_across_domains () =
   Metrics.reset ();
   let n = 100 in
   let xs =
-    Pool.parallel_map ~njobs:4
+    Pool.parallel_map_result ~njobs:4
       (fun i ->
         Metrics.incr "t.pool.tasks";
         Metrics.observe "t.pool.val" (float_of_int i);
         i)
       (List.init n Fun.id)
   in
-  check_int "map result intact" n (List.length xs);
+  check_bool "map result intact" true (xs = List.init n Result.ok);
   check_int "counter merged across domains" n (Metrics.get "t.pool.tasks");
   let h = List.assoc "t.pool.val" (Metrics.snapshot ()).Metrics.histograms in
   check_int "histogram count merged" n h.Metrics.count;

@@ -1,7 +1,7 @@
 (* Tests for the parallel experiment engine: the Domain worker pool
-   (ordering, exception propagation, T1000_NJOBS), the compute-once
-   memo table, the selection-table and run caches, and — the property everything
-   above exists to preserve — bit-identical experiment rows whether the
+   (ordering, T1000_NJOBS), the compute-once memo table, the
+   selection-table and run caches, and — the property everything above
+   exists to preserve — bit-identical experiment rows whether the
    sweeps run sequentially or fanned out over domains. *)
 
 open T1000
@@ -24,31 +24,15 @@ let with_njobs v f = with_env "T1000_NJOBS" v f
 
 let test_pool_order () =
   let xs = List.init 1000 Fun.id in
-  let expected = List.map (fun i -> i * i) xs in
+  let map njobs f xs = Pool.parallel_map_result ~njobs f xs in
+  let expected = List.map (fun i -> Ok (i * i)) xs in
   check_bool "njobs=4 preserves order" true
-    (Pool.parallel_map ~njobs:4 (fun i -> i * i) xs = expected);
+    (map 4 (fun i -> i * i) xs = expected);
   check_bool "njobs=1 preserves order" true
-    (Pool.parallel_map ~njobs:1 (fun i -> i * i) xs = expected);
+    (map 1 (fun i -> i * i) xs = expected);
   check_bool "more workers than tasks" true
-    (Pool.parallel_map ~njobs:64 (fun i -> i + 1) [ 1; 2; 3 ] = [ 2; 3; 4 ]);
-  check_bool "empty input" true
-    (Pool.parallel_map ~njobs:4 (fun i -> i) [] = [])
-
-let test_pool_exception () =
-  (* Both index 37 and index 500 fail; the pool must surface the
-     lowest-index failure regardless of completion order. *)
-  let f i =
-    if i = 37 then failwith "boom-37"
-    else if i = 500 then failwith "boom-500"
-    else i
-  in
-  (match Pool.parallel_map ~njobs:4 f (List.init 1000 Fun.id) with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg -> check_bool "lowest index wins" true (msg = "boom-37"));
-  match Pool.parallel_map ~njobs:1 f (List.init 50 Fun.id) with
-  | _ -> Alcotest.fail "expected Failure (sequential)"
-  | exception Failure msg ->
-      check_bool "sequential propagates too" true (msg = "boom-37")
+    (map 64 (fun i -> i + 1) [ 1; 2; 3 ] = [ Ok 2; Ok 3; Ok 4 ]);
+  check_bool "empty input" true (map 4 (fun i -> i) [] = [])
 
 let test_pool_njobs_env () =
   with_njobs "1" (fun () ->
@@ -76,9 +60,10 @@ let test_memo_compute_once () =
   (* 64 tasks on 4 domains all demand the same key: exactly one
      computation, and every caller shares the same physical value. *)
   let vs =
-    Pool.parallel_map ~njobs:4
+    Pool.parallel_map_result ~njobs:4
       (fun _ -> Memo.find_or_compute m "k" f)
       (List.init 64 Fun.id)
+    |> List.map Result.get_ok
   in
   check_int "computed exactly once" 1 (Atomic.get computes);
   let first = List.hd vs in
@@ -492,9 +477,8 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "parallel_map order" `Quick test_pool_order;
-          Alcotest.test_case "exception propagation" `Quick
-            test_pool_exception;
+          Alcotest.test_case "parallel_map_result order" `Quick
+            test_pool_order;
           Alcotest.test_case "T1000_NJOBS" `Quick test_pool_njobs_env;
         ] );
       ( "memo",
