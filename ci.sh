@@ -1,10 +1,9 @@
 #!/bin/sh
-# Tier-1 gate for the T1000 repo: build, tests, formatting (when the
-# formatter is available), a cheap smoke of the parallel experiment
-# engine, and an end-to-end exercise of the robustness layer (fault
-# isolation + checkpoint resume).  Every simulation-running step is
-# wrapped in a hard timeout so a deadlocked simulator fails the gate
-# instead of hanging it.
+# Tier-1 gate for the T1000 repo: build, tests, dune-file formatting, a
+# cheap smoke of the parallel experiment engine, and an end-to-end
+# exercise of the robustness layer (fault isolation + checkpoint
+# resume).  Every simulation-running step is wrapped in a hard timeout
+# so a deadlocked simulator fails the gate instead of hanging it.
 set -eu
 
 echo "== build =="
@@ -47,11 +46,10 @@ dune build --profile dev --build-dir _build_dev
 timeout 900 dune runtest --profile dev --build-dir _build_dev
 
 echo "== fmt =="
-if command -v ocamlformat >/dev/null 2>&1; then
-  dune build @fmt
-else
-  echo "ocamlformat not installed, skipping"
-fi
+# dune-project formats dune files only (there is no .ocamlformat), so
+# the check needs no ocamlformat.  bench/suite/dune is the one dune file
+# left out: it is not in dune's format yet (ROADMAP.md).
+dune build @@fmt @lib/fmt @bin/fmt @test/fmt @examples/fmt @@bench/fmt
 
 CKPT_DIR=$(mktemp -d)
 trap 'rm -rf "$CKPT_DIR"' EXIT

@@ -7,6 +7,7 @@ type ('k, 'v) t = {
   cond : Condition.t;
   tbl : ('k, 'v cell) Hashtbl.t;
   cap : int option;  (* max completed bindings; None = unbounded *)
+  mutable done_n : int;  (* completed bindings in [tbl] *)
   mutable clock : int;  (* strictly increasing LRU stamp source *)
   mutable evictions : int;
   hits : string option;  (* Obs.Metrics counter names, when labelled *)
@@ -31,6 +32,7 @@ let create ?name ?cap n =
     cond = Condition.create ();
     tbl = Hashtbl.create n;
     cap;
+    done_n = 0;
     clock = 0;
     evictions = 0;
     hits = Option.map (fun n -> "memo." ^ n ^ ".hits") name;
@@ -47,14 +49,9 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let done_count_locked t =
-  Hashtbl.fold
-    (fun _ c acc -> match c with Done _ -> acc + 1 | Pending -> acc)
-    t.tbl 0
-
 let gauge_locked t =
   Option.iter
-    (fun g -> T1000_obs.Metrics.set_gauge g (float_of_int (done_count_locked t)))
+    (fun g -> T1000_obs.Metrics.set_gauge g (float_of_int t.done_n))
     t.size_g
 
 (* Evict completed bindings, least-recently-used first, until the
@@ -68,7 +65,7 @@ let enforce_cap_locked t =
   | None -> ()
   | Some cap ->
       let rec evict () =
-        if done_count_locked t > cap then begin
+        if t.done_n > cap then begin
           let victim =
             Hashtbl.fold
               (fun k c best ->
@@ -84,6 +81,7 @@ let enforce_cap_locked t =
           | None -> ()
           | Some (k, _) ->
               Hashtbl.remove t.tbl k;
+              t.done_n <- t.done_n - 1;
               t.evictions <- t.evictions + 1;
               count t.evict_c;
               evict ()
@@ -117,6 +115,7 @@ let find_or_compute t k f =
       | v ->
           Mutex.lock t.mutex;
           Hashtbl.replace t.tbl k (Done { v; stamp = tick t });
+          t.done_n <- t.done_n + 1;
           enforce_cap_locked t;
           gauge_locked t;
           Condition.broadcast t.cond;
@@ -135,15 +134,18 @@ let find_opt t k =
   Mutex.lock t.mutex;
   let r =
     match Hashtbl.find_opt t.tbl k with
-    | Some (Done d) -> Some d.v
+    | Some (Done d) ->
+        d.stamp <- tick t;
+        Some d.v
     | Some Pending | None -> None
   in
   Mutex.unlock t.mutex;
+  if Option.is_some r then count t.hits;
   r
 
 let length t =
   Mutex.lock t.mutex;
-  let n = done_count_locked t in
+  let n = t.done_n in
   Mutex.unlock t.mutex;
   n
 

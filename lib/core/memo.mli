@@ -22,9 +22,10 @@ type ('k, 'v) t
 
 val create : ?name:string -> ?cap:int -> int -> ('k, 'v) t
 (** [create n] is an empty table with initial capacity [n].  With
-    [?name], every lookup is counted into the [Obs.Metrics] counters
-    [memo.<name>.hits] / [memo.<name>.misses] (a waiter that shares a
-    pending computation counts as a hit), every eviction into
+    [?name], every {!find_or_compute} is counted into the
+    [Obs.Metrics] counters [memo.<name>.hits] / [memo.<name>.misses]
+    (a waiter that shares a pending computation counts as a hit), so
+    is every {!find_opt} hit, every eviction is counted into
     [memo.<name>.evictions], and the completed-binding count is kept in
     the [memo.<name>.size] gauge.  With [?cap], at most [cap] completed
     bindings are retained (LRU eviction).
@@ -41,10 +42,12 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** The cached value for [k], if its computation has already
-    completed.  Never blocks (a [Pending] slot reads as [None]), does
-    not refresh LRU recency, and is not counted into the hit/miss
-    telemetry — the serve daemon probes with it to label replies that
-    were served from a warm cache. *)
+    completed.  Never blocks (a [Pending] slot reads as [None]).  A hit
+    refreshes [k]'s LRU recency and counts one [memo.<name>.hits], as a
+    {!find_or_compute} hit does; a miss counts nothing, because the
+    {!find_or_compute} that follows it counts the lookup.  The serve
+    daemon probes its reply cache with it, at admission and again
+    before computing, to answer and label warm-cache replies. *)
 
 val length : ('k, 'v) t -> int
 (** Number of cached (completed) bindings; never exceeds [cap]. *)

@@ -81,9 +81,10 @@ let default_config () =
 (* ---- jobs ---- *)
 
 type job = {
-  seq : int;  (* server-wide request sequence number (chaos hash key) *)
+  seq : int;  (* server-wide job sequence number (chaos hash key) *)
   req_id : int;  (* client-chosen request id, echoed in the reply *)
   sel : Protocol.select;
+  key : Protocol.select;  (* [reply_key sel] *)
   submitted : float;
   deadline : float option;  (* absolute wall-clock deadline *)
   jm : Mutex.t;
@@ -287,42 +288,44 @@ let setup_of_select (sel : Protocol.select) =
   | Some max_cycles ->
       { s with Runner.machine = { s.Runner.machine with Mconfig.max_cycles } }
 
-let compute srv (sel : Protocol.select) : Protocol.outcome =
+(* A reply depends on every request field but the deadline, and on
+   the kernel only through its digest. *)
+let reply_key (sel : Protocol.select) =
+  {
+    sel with
+    Protocol.kernel = Protocol.Named (kernel_key sel.Protocol.kernel);
+    deadline_ms = None;
+  }
+
+(* [cached] marks a reply the cache already held when it was probed:
+   at admission ({!handle_select}) or here, for a request whose key
+   completed while it waited in the queue. *)
+let compute srv ~key (sel : Protocol.select) : Protocol.outcome =
   Tracer.with_span ~cat:"serve" "serve.compute" @@ fun () ->
   let setup = setup_of_select sel in
-  (* A reply depends on every request field but the deadline, and on
-     the kernel only through its digest. *)
-  let rkey =
-    {
-      sel with
-      Protocol.kernel = Protocol.Named (kernel_key sel.Protocol.kernel);
-      deadline_ms = None;
-    }
-  in
-  let warm = Memo.find_opt srv.results rkey <> None in
-  let outcome =
-    Memo.find_or_compute srv.results rkey @@ fun () ->
-    let w = resolve_kernel sel.Protocol.kernel in
-    (* The baseline runs on the configured machine, so under the same
-       cycle budget (the one machine field a request can change). *)
-    let baseline = Experiment.baseline_for srv.ctx w setup.Runner.machine in
-    let r = Experiment.run_setup srv.ctx w setup in
-    let lut_cost =
-      List.fold_left
-        (fun acc (e : Extinstr.entry) -> acc + e.Extinstr.lut_cost)
-        0
-        (Extinstr.entries r.Runner.table)
-    in
-    {
-      Protocol.speedup = Runner.speedup ~baseline r;
-      cycles = r.Runner.stats.Stats.cycles;
-      baseline_cycles = baseline.Runner.stats.Stats.cycles;
-      ext_count = Extinstr.count r.Runner.table;
-      lut_cost;
-      cached = false;
-    }
-  in
-  { outcome with Protocol.cached = warm }
+  match Memo.find_opt srv.results key with
+  | Some o -> { o with Protocol.cached = true }
+  | None ->
+      Memo.find_or_compute srv.results key @@ fun () ->
+      let w = resolve_kernel sel.Protocol.kernel in
+      (* The baseline runs on the configured machine, so under the same
+         cycle budget (the one machine field a request can change). *)
+      let baseline = Experiment.baseline_for srv.ctx w setup.Runner.machine in
+      let r = Experiment.run_setup srv.ctx w setup in
+      let lut_cost =
+        List.fold_left
+          (fun acc (e : Extinstr.entry) -> acc + e.Extinstr.lut_cost)
+          0
+          (Extinstr.entries r.Runner.table)
+      in
+      {
+        Protocol.speedup = Runner.speedup ~baseline r;
+        cycles = r.Runner.stats.Stats.cycles;
+        baseline_cycles = baseline.Runner.stats.Stats.cycles;
+        ext_count = Extinstr.count r.Runner.table;
+        lut_cost;
+        cached = false;
+      }
 
 (* ---- job lifecycle ---- *)
 
@@ -378,7 +381,7 @@ let process srv job =
     Metrics.observe "serve.queue_wait_ms" ((started -. job.submitted) *. 1e3);
     let result =
       Pool.run_result ~index:job.seq (fun () ->
-          compute srv job.sel)
+          compute srv ~key:job.key job.sel)
     in
     Metrics.observe "serve.service_ms" ((now () -. started) *. 1e3);
     let body =
@@ -492,52 +495,70 @@ let handle_select srv fd req_id sel =
     | Some d when not (d > 0.0 && Float.is_finite d) ->
         Fault.invalid_config "deadline_ms must be positive, got %g" d
     | _ -> ());
-    let job =
-      {
-        seq = Atomic.fetch_and_add srv.seq 1;
-        req_id;
-        sel;
-        submitted;
-        deadline = Option.map (fun d -> submitted +. (d /. 1e3)) deadline_ms;
-        jm = Mutex.create ();
-        jcv = Condition.create ();
-        state = `Pending;
-        pops = 0;
-      }
-    in
-    (* Registered before admission so the drain sequence cannot close
-       the queue between our check and our push: inflight > 0 holds it
-       open, and if drain won the race anyway the closed queue fails
-       try_push and we shed with a typed reply — never a drop. *)
-    register_pending srv job;
-    Fun.protect ~finally:(fun () -> unregister_pending srv job) @@ fun () ->
-    if not (Squeue.try_push srv.queue job) then begin
-      Metrics.incr "serve.shed";
-      send srv fd
-        {
-          Protocol.rid = req_id;
-          body =
-            `Error
-              ( Protocol.Overloaded,
-                Printf.sprintf
-                  "overloaded: admission queue full (%d waiting)"
-                  (Squeue.length srv.queue) );
-        }
-    end
-    else begin
-      Mutex.lock job.jm;
-      while job.state = `Pending do
-        Condition.wait job.jcv job.jm
-      done;
-      let body =
-        match job.state with
-        | `Done b -> b
-        | `Abandoned -> timeout_body job "server-side deadline timer"
-        | `Pending -> assert false
-      in
-      Mutex.unlock job.jm;
-      send srv fd { Protocol.rid = req_id; body }
-    end
+    let key = reply_key sel in
+    match Memo.find_opt srv.results key with
+    | Some o ->
+        (* A completed reply is answered here, on the connection
+           thread: it never waits behind a running simulation, and a
+           full queue cannot shed it. *)
+        Metrics.observe "serve.queue_wait_ms" 0.0;
+        Metrics.observe "serve.service_ms" ((now () -. submitted) *. 1e3);
+        send srv fd
+          {
+            Protocol.rid = req_id;
+            body = `Outcome { o with Protocol.cached = true };
+          }
+    | None ->
+        let job =
+          {
+            seq = Atomic.fetch_and_add srv.seq 1;
+            req_id;
+            sel;
+            key;
+            submitted;
+            deadline =
+              Option.map (fun d -> submitted +. (d /. 1e3)) deadline_ms;
+            jm = Mutex.create ();
+            jcv = Condition.create ();
+            state = `Pending;
+            pops = 0;
+          }
+        in
+        (* Registered before admission so the drain sequence cannot
+           close the queue between our check and our push: inflight > 0
+           holds it open, and if drain won the race anyway the closed
+           queue fails try_push and we shed with a typed reply — never
+           a drop. *)
+        register_pending srv job;
+        Fun.protect ~finally:(fun () -> unregister_pending srv job)
+        @@ fun () ->
+        if not (Squeue.try_push srv.queue job) then begin
+          Metrics.incr "serve.shed";
+          send srv fd
+            {
+              Protocol.rid = req_id;
+              body =
+                `Error
+                  ( Protocol.Overloaded,
+                    Printf.sprintf
+                      "overloaded: admission queue full (%d waiting)"
+                      (Squeue.length srv.queue) );
+            }
+        end
+        else begin
+          Mutex.lock job.jm;
+          while job.state = `Pending do
+            Condition.wait job.jcv job.jm
+          done;
+          let body =
+            match job.state with
+            | `Done b -> b
+            | `Abandoned -> timeout_body job "server-side deadline timer"
+            | `Pending -> assert false
+          in
+          Mutex.unlock job.jm;
+          send srv fd { Protocol.rid = req_id; body }
+        end
   end
 
 let conn_loop srv (conn_id, fd) () =

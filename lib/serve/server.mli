@@ -9,7 +9,10 @@
     - {b Backpressure}: admission goes through a bounded {!Squeue};
       when it is full the request is shed with a typed [Overloaded]
       reply immediately — a client is never blocked or silently
-      dropped.
+      dropped.  A select whose reply is already cached skips the
+      queue: the connection thread answers it at once, so it never
+      waits behind a running simulation and a full queue cannot shed
+      it (a draining server still does).
     - {b Deadlines}: each request may carry a wall-clock deadline
       (enforced by a server-side timer: the reply is a typed [Timeout]
       whether the request is still queued or already running) and a
@@ -41,9 +44,12 @@
     are shared between requests (and between setups that simulate the
     same inputs).  A submitted assembler kernel is a workload named by
     its digest ([asm:<md5 of the text>]).  Whole outcomes are kept in a
-    reply cache keyed on the request, so repeated tenants get
-    warm-cache latencies (the [cached] reply flag tells them).  Every
-    one of these memos keeps at most [T1000_MEMO_CAP] entries. *)
+    reply cache keyed on the request (deadline aside), probed at
+    admission before the queue, so repeated tenants get warm-cache
+    latencies whatever the workers are running (the [cached] reply
+    flag tells them; a probe hit refreshes the reply's LRU recency).
+    Every one of these memos keeps at most [T1000_MEMO_CAP]
+    entries. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 

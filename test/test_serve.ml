@@ -484,12 +484,39 @@ let test_memo_env_cap () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* [find_opt] is the serve daemon's one cache probe: a hit counts one
+   hit and refreshes recency, a miss counts nothing (the
+   [find_or_compute] after it counts the lookup). *)
 let test_memo_find_opt () =
-  let m = Memo.create 4 in
+  let m = Memo.create ~name:"test_find_opt" 4 in
+  let counts () =
+    ( T1000_obs.Metrics.get "memo.test_find_opt.hits",
+      T1000_obs.Metrics.get "memo.test_find_opt.misses" )
+  in
+  let h0, m0 = counts () in
+  let delta () =
+    let h, m = counts () in
+    (h - h0, m - m0)
+  in
   check_bool "miss" true (Memo.find_opt m "k" = None);
+  check_bool "a miss counts nothing" true (delta () = (0, 0));
   check_int "compute" 5 (Memo.find_or_compute m "k" (fun () -> 5));
+  check_bool "the compute counts one miss" true (delta () = (0, 1));
   check_bool "hit after compute" true (Memo.find_opt m "k" = Some 5);
-  check_bool "other key still misses" true (Memo.find_opt m "j" = None)
+  check_bool "a hit counts one hit" true (delta () = (1, 1));
+  check_bool "other key still misses" true (Memo.find_opt m "j" = None);
+  check_bool "still one hit, one miss" true (delta () = (1, 1));
+  (* A hit refreshes recency: probe "a", insert "c" -> "b" evicted. *)
+  let m = Memo.create ~cap:2 4 in
+  let put k = ignore (Memo.find_or_compute m k (fun () -> String.length k)) in
+  put "a";
+  put "b";
+  check_bool "probe a" true (Memo.find_opt m "a" = Some 1);
+  put "c";
+  check_int "one eviction" 1 (Memo.evictions m);
+  check_bool "b evicted" true (Memo.find_opt m "b" = None);
+  check_bool "a kept" true (Memo.find_opt m "a" = Some 1);
+  check_bool "c kept" true (Memo.find_opt m "c" = Some 1)
 
 (* ---------- end-to-end daemon sessions ---------- *)
 
@@ -544,18 +571,18 @@ let tiny_asm ?(salt = "") () =
           salt;
     }
 
-(* ~0.5 s of simulation: 2^19 loop iterations.  [salt] defeats the
-   cross-request result cache (the kernel digest keys it), so each use
-   really simulates. *)
-let slow_asm ?(salt = "") () =
+(* ~0.5 s of simulation: [loops] * 2^16 loop iterations (2^19 by
+   default).  [salt] defeats the cross-request result cache (the kernel
+   digest keys it), so each use really simulates. *)
+let slow_asm ?(salt = "") ?(loops = 8) () =
   Protocol.Asm
     {
       name = "slow";
       text =
         Printf.sprintf
-          "# %s\n    lui r2, 8\n    addui r1, r0, 0\nloop:\n    addui r1, \
+          "# %s\n    lui r2, %d\n    addui r1, r0, 0\nloop:\n    addui r1, \
            r1, 1\n    bne r1, r2, loop\n    halt\n"
-          salt;
+          salt loops;
     }
 
 let test_e2e_basics () =
@@ -948,29 +975,40 @@ let test_e2e_health () =
   check_bool "matches in-process snapshot" true
     ((Server.health srv).Protocol.queue_cap = 8)
 
+let wait_health srv what ok =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec poll () =
+    let h = Server.health srv in
+    if not (ok h) then begin
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "never saw %s (inflight %d, queue %d)" what
+          h.Protocol.inflight h.Protocol.queue_len;
+      Thread.delay 0.001;
+      poll ()
+    end
+  in
+  poll ()
+
+let slow_request ?loops addr salt done_ =
+  Thread.create
+    (fun () ->
+      let c = connect_exn addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      ignore (Client.request c (sel ~kernel:(slow_asm ~salt ?loops ()) ()));
+      Atomic.set done_ true)
+    ()
+
 (* [`Health] must bypass the admission queue: with the one worker and
    the whole queue occupied by a slow request, a health probe on a
    second connection still answers while the slow request is running. *)
 let test_e2e_health_bypasses_queue () =
   with_server ~queue:1 ~njobs:1 @@ fun srv addr ->
   let slow_done = Atomic.make false in
-  let slow =
-    Thread.create
-      (fun () ->
-        let c = connect_exn addr in
-        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-        ignore (Client.request c (sel ~kernel:(slow_asm ()) ()));
-        Atomic.set slow_done true)
-      ()
-  in
+  let slow = slow_request addr "" slow_done in
   (* Probe as soon as the slow request is admitted: it simulates for
      under 0.1 s on a fast host, so a fixed delay can outlast it. *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (Server.health srv).Protocol.inflight = 0 do
-    if Unix.gettimeofday () > deadline then
-      Alcotest.fail "the slow request was never admitted";
-    Thread.delay 0.001
-  done;
+  wait_health srv "the slow request admitted" (fun h ->
+      h.Protocol.inflight > 0);
   let c = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
       match Client.health c with
@@ -980,6 +1018,91 @@ let test_e2e_health_bypasses_queue () =
             (not (Atomic.get slow_done));
           check_bool "saw the in-flight request" true (h.Protocol.inflight >= 1));
   Thread.join slow
+
+(* A reply the cache already holds is answered at admission: with the
+   worker busy and the one queue slot taken, a warm key still comes back
+   at once, not shed as Overloaded. *)
+let test_e2e_cached_bypasses_queue () =
+  with_server ~queue:1 ~njobs:1 @@ fun srv addr ->
+  let warm = sel ~kernel:(tiny_asm ~salt:"bypass" ()) () in
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match request_exn c warm with
+  | `Outcome o -> check_bool "first request is cold" false o.Protocol.cached
+  | _ -> Alcotest.fail "expected an outcome");
+  let first_done = Atomic.make false and second_done = Atomic.make false in
+  (* Four times the default loop: the worker must stay busy while the
+     second request is retried into the queue. *)
+  let first = slow_request ~loops:32 addr "bypass1" first_done in
+  wait_health srv "the first slow request admitted" (fun h ->
+      h.Protocol.inflight = 1);
+  (* The second is shed if it reaches the queue before the worker has
+     popped the first; it then tries again. *)
+  let second =
+    Thread.create
+      (fun () ->
+        let c = connect_exn addr in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        let slow = sel ~kernel:(slow_asm ~salt:"bypass2" ()) () in
+        let rec go () =
+          match request_exn c slow with
+          | `Error (Protocol.Overloaded, _) ->
+              Thread.delay 0.001;
+              go ()
+          | _ -> Atomic.set second_done true
+        in
+        go ())
+      ()
+  in
+  wait_health srv "both slow requests in flight, the queue full" (fun h ->
+      h.Protocol.inflight = 2 && h.Protocol.queue_len = 1);
+  let c3 = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c3) (fun () ->
+      match request_exn c3 warm with
+      | `Outcome o ->
+          check_bool "answered while the first was running" true
+            (not (Atomic.get first_done));
+          check_bool "served from the cache" true o.Protocol.cached
+      | `Error (code, m) ->
+          Alcotest.failf "warm key not answered: %s %s"
+            (Protocol.string_of_code code) m
+      | _ -> Alcotest.fail "expected an outcome");
+  Thread.join first;
+  Thread.join second;
+  check_bool "both slow requests answered" true
+    (Atomic.get first_done && Atomic.get second_done)
+
+(* The admission lookup comes after the in-band checks: a warm key with
+   a bad deadline is still the caller's error, and a warm key that
+   arrives while the server drains is still shed. *)
+let test_e2e_cached_in_band_errors () =
+  with_server ~njobs:1 @@ fun srv addr ->
+  let warm ?deadline_ms () =
+    sel ~kernel:(tiny_asm ~salt:"inband" ()) ?deadline_ms ()
+  in
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  ignore (request_exn c (warm ()));
+  (match request_exn c (warm ()) with
+  | `Outcome o -> check_bool "warm" true o.Protocol.cached
+  | _ -> Alcotest.fail "expected an outcome");
+  (match request_exn c (warm ~deadline_ms:(-1.) ()) with
+  | `Error (Protocol.Invalid, msg) ->
+      check_bool "names the deadline" true (contains ~affix:"deadline" msg)
+  | _ -> Alcotest.fail "a bad deadline on a warm key must be Invalid");
+  (* A slow request in flight holds the drain open, so this connection
+     is still served when the warm key arrives. *)
+  let slow_done = Atomic.make false in
+  let slow = slow_request ~loops:32 addr "inband" slow_done in
+  wait_health srv "the slow request admitted" (fun h ->
+      h.Protocol.inflight >= 1);
+  Server.stop srv;
+  (match request_exn c (warm ()) with
+  | `Error (Protocol.Overloaded, msg) ->
+      check_bool "names the drain" true (contains ~affix:"draining" msg)
+  | _ -> Alcotest.fail "a warm key must be shed while draining");
+  Thread.join slow;
+  check_bool "the admitted request was answered" true (Atomic.get slow_done)
 
 (* ---------- memo cap end-to-end ---------- *)
 
@@ -1474,6 +1597,10 @@ let () =
           Alcotest.test_case "health" `Quick test_e2e_health;
           Alcotest.test_case "health bypasses queue" `Quick
             test_e2e_health_bypasses_queue;
+          Alcotest.test_case "cached reply bypasses a full queue" `Quick
+            test_e2e_cached_bypasses_queue;
+          Alcotest.test_case "cached replies keep their in-band errors"
+            `Quick test_e2e_cached_in_band_errors;
           Alcotest.test_case "memo cap" `Quick test_e2e_memo_cap;
           Alcotest.test_case "recompute on a fresh ctx" `Quick
             test_e2e_recompute;
