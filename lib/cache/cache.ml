@@ -31,6 +31,15 @@ let create ~name ~sets ~ways ~line_bytes =
   if ways <= 0 then invalid_arg "Cache.create: ways <= 0";
   if not (is_pow2 line_bytes) then
     invalid_arg "Cache.create: line_bytes not a power of 2";
+  (* Way [w] of every set starts at age [w].  Filled by a loop over an
+     int array: a polymorphic [Array.init] costs more than the rest of
+     the hierarchy's construction, which every [Sim.run] pays. *)
+  let lru = Array.make (sets * ways) 0 in
+  for set = 0 to sets - 1 do
+    for way = 1 to ways - 1 do
+      lru.((set * ways) + way) <- way
+    done
+  done;
   {
     name;
     sets;
@@ -39,7 +48,7 @@ let create ~name ~sets ~ways ~line_bytes =
     line_shift = log2 line_bytes;
     set_mask = sets - 1;
     tags = Array.make (sets * ways) (-1);
-    lru = Array.init (sets * ways) (fun i -> i mod ways);
+    lru;
     dirty = Array.make (sets * ways) false;
     accesses = 0;
     misses = 0;

@@ -8,6 +8,11 @@ module Workload = T1000_workloads.Workload
 module Stats = T1000_ooo.Stats
 module Mconfig = T1000_ooo.Mconfig
 module Bp = T1000_bpred.Predictor
+module Profile = T1000_profile.Profile
+module Bitwidth = T1000_profile.Bitwidth
+module Word = T1000_isa.Word
+module Instr = T1000_isa.Instr
+module Program = T1000_asm.Program
 
 type failure = { method_ : string; invariant : string; detail : string }
 
@@ -31,6 +36,60 @@ let interp_run (w : Workload.t) table program =
   let it = Interp.create ~mem ~regs ~ext_eval:(Extinstr.eval table) program in
   let steps = Interp.run ~max_steps:50_000_000 it in
   (steps, Workload.output w mem)
+
+(* The profile the profiler must produce for [w], folded the plain way:
+   each step adds its slot's latency to the weight and maxes the slot's
+   widths with [Word.width_signed] of its values. *)
+let profile_widths (w : Workload.t) profile =
+  let program = w.Workload.program in
+  let n = Program.length program in
+  let counts = Array.make n 0 in
+  let res = Array.make n 0 and opd = Array.make n 0 in
+  let weight = ref 0 in
+  let mem = Memory.create () in
+  let regs = Regfile.create () in
+  w.Workload.init mem regs;
+  let it = Interp.create ~mem ~regs program in
+  let code = Interp.code it in
+  Interp.set_observer it (fun i src1 src2 result ->
+      counts.(i) <- counts.(i) + 1;
+      weight := !weight + Instr.latency code.(i);
+      res.(i) <- max res.(i) (Word.width_signed result);
+      opd.(i) <-
+        max opd.(i) (max (Word.width_signed src1) (Word.width_signed src2)));
+  let steps = Interp.run ~max_steps:50_000_000 it in
+  let bw = Profile.bitwidth profile in
+  let slot i =
+    let executed = counts.(i) > 0 in
+    let width a = if executed then a.(i) else 32 in
+    let expect name want got =
+      if want = got then None
+      else Some (Printf.sprintf "slot %d: %s %d, reference %d" i name got want)
+    in
+    List.find_map Fun.id
+      [
+        expect "count" counts.(i) (Profile.count profile i);
+        expect "executed" (Bool.to_int executed)
+          (Bool.to_int (Bitwidth.executed bw i));
+        expect "result width" (width res) (Bitwidth.result_width bw i);
+        expect "operand width" (width opd) (Bitwidth.operand_width bw i);
+        expect "instr width"
+          (max (width res) (width opd))
+          (Bitwidth.instr_width bw i);
+      ]
+  in
+  if Profile.total_instrs profile <> steps then
+    Error
+      (Printf.sprintf "%d instructions, reference %d"
+         (Profile.total_instrs profile) steps)
+  else if Profile.total_weight profile <> !weight then
+    Error
+      (Printf.sprintf "weight %d, reference %d" (Profile.total_weight profile)
+         !weight)
+  else
+    match List.find_map slot (List.init n Fun.id) with
+    | None -> Ok ()
+    | Some d -> Error d
 
 (* The front end squashes once per misprediction, and the always-right
    [Perfect] predictor never mispredicts nor fetches down a wrong
@@ -79,6 +138,12 @@ let check (c : Gen.case) : (unit, failure) result =
         fail "analysis" "reference"
           "profiling run captured an output that differs from the \
            interpreter's"
+    in
+    let* () =
+      Result.map_error
+        (fun detail ->
+          { method_ = "analysis"; invariant = "profile-widths"; detail })
+        (profile_widths w analysis.Runner.profile)
     in
     let baseline =
       Runner.run ~analysis w (Runner.setup ~selfcheck:true Runner.Baseline)

@@ -9,6 +9,8 @@
       [reference], against which {!T1000.Runner.run} checks every
       rewritten program) equals the interpreter's output of the
       original program;
+    - profile-widths: the profile the run took ({!profile_widths})
+      equals a plain per-step fold of the interpreter's values;
     - the rewritten program's architectural output (the workload's
       whole observable region, extended instructions evaluated through
       their {!T1000_select.Extinstr} evaluators) equals the original's;
@@ -44,6 +46,16 @@ type failure = {
 }
 
 val pp_failure : Format.formatter -> failure -> unit
+
+val profile_widths :
+  T1000_workloads.Workload.t -> T1000_profile.Profile.t -> (unit, string) result
+(** [profile_widths w p] checks [p], a profile of [w]'s program on its
+    initial state, against a reference fold over a fresh interpretation:
+    per step the slot's count grows by one, the weight by the slot's
+    base latency, and each width is the maximum of
+    {!T1000_isa.Word.width_signed} over the values seen (32 for a slot
+    never executed).  [Error] names the first total or slot that
+    differs. *)
 
 val check : Gen.case -> (unit, failure) result
 (** Never raises: pipeline exceptions (watchdog, self-check, verify,

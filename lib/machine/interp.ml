@@ -15,7 +15,7 @@ type t = {
   mutable halted : bool;
   mutable steps : int;
   mutable mem_addr : int;  (* effective address of the last [exec] *)
-  mutable observer : (Trace.obs -> unit) option;
+  mutable observer : (int -> Word.t -> Word.t -> Word.t -> unit) option;
 }
 
 let no_ext eid _ _ = fault "extended instruction %d has no evaluator" eid
@@ -224,9 +224,7 @@ let exec t =
     t.mem_addr <- !mem_addr;
     (match t.observer with
     | None -> ()
-    | Some f ->
-        let entry = { Trace.index; instr; mem_addr = !mem_addr } in
-        f { Trace.entry; src1 = !o_src1; src2 = !o_src2; result = !o_result });
+    | Some f -> f index !o_src1 !o_src2 !o_result);
     index
   end
 

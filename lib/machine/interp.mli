@@ -34,7 +34,8 @@ val exec : t -> int
     the interpreter: the effective address is left in {!mem_addr} and
     the instruction itself is [(code t).(slot)], so a caller that
     walks the dynamic trace builds no record per instruction.  An
-    installed observer is still called with a full {!Trace.obs}. *)
+    installed observer is called with integers only, so observing
+    allocates nothing either. *)
 
 val mem_addr : t -> int
 (** Effective byte address of the load or store executed by the last
@@ -49,8 +50,16 @@ val run : ?max_steps:int -> t -> int
     executed (default [max_steps] = 1 billion).
     @raise Fault if the program does not halt within [max_steps]. *)
 
-val set_observer : t -> (Trace.obs -> unit) -> unit
-(** Install a profiling hook called after every executed instruction. *)
+val set_observer : t -> (int -> Word.t -> Word.t -> Word.t -> unit) -> unit
+(** [set_observer t f] installs a profiling hook: after every executed
+    instruction, [f index src1 src2 result] is called with the static
+    slot, the first and second operand values and the value written.
+    An operand is [0] when absent; for an immediate form [src2] is the
+    immediate (the shift amount of a shift by a constant).  [result] is
+    [0] when the instruction writes no register (for [mult]/[div] it is
+    the new [lo]; for [jal]/[jalr] the return address).  The hook
+    replaces any earlier one; {!exec} tests for it once per
+    instruction. *)
 
 val clear_observer : t -> unit
 

@@ -10,10 +10,3 @@ let pp_entry ppf e =
   if e.mem_addr >= 0 then
     Format.fprintf ppf "%6d: %a  [0x%08x]" e.index Instr.pp e.instr e.mem_addr
   else Format.fprintf ppf "%6d: %a" e.index Instr.pp e.instr
-
-type obs = {
-  entry : entry;
-  src1 : Word.t;
-  src2 : Word.t;
-  result : Word.t;
-}

@@ -3,7 +3,9 @@
     The functional interpreter ({!Interp.step}) produces one entry per
     executed instruction.  The timing simulator ({!T1000_ooo.Sim})
     walks the same committed-order stream through {!Interp.exec}, as
-    slots and addresses, without building entries.  Because the paper
+    slots and addresses, without building entries; so does a profiling
+    observer ({!Interp.set_observer}), which is handed the slot and its
+    operand and result values as plain integers.  Because the paper
     simulates with perfect branch prediction, this committed-order
     stream is exactly the fetch stream, making trace-driven timing
     exact (DESIGN.md Section 5). *)
@@ -18,13 +20,3 @@ type entry = {
 }
 
 val pp_entry : Format.formatter -> entry -> unit
-
-(** Observation record for profiling hooks: the entry plus the dynamic
-    operand and result values. *)
-type obs = {
-  entry : entry;
-  src1 : Word.t;  (** first register operand value (0 when absent) *)
-  src2 : Word.t;  (** second register operand value (0 when absent) *)
-  result : Word.t;  (** value written (0 when the instruction writes
-                        no register) *)
-}

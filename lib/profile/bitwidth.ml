@@ -1,32 +1,34 @@
 open T1000_isa
-open T1000_machine
 
+(* Per slot, the OR of the sign-normalised magnitudes seen so far; a
+   width is read off it only when queried (bitwidth.mli: why that is
+   exact). *)
 type t = {
-  res_w : int array;
-  opd_w : int array;
+  res : int array;
+  opd : int array;
   seen : bool array;
 }
 
 let create ~n_slots =
   {
-    res_w = Array.make n_slots 0;
-    opd_w = Array.make n_slots 0;
+    res = Array.make n_slots 0;
+    opd = Array.make n_slots 0;
     seen = Array.make n_slots false;
   }
 
-let record t (o : Trace.obs) =
-  let i = o.Trace.entry.Trace.index in
+let magnitude v = v lxor (v asr (Sys.int_size - 1))
+
+let record t i src1 src2 result =
   t.seen.(i) <- true;
-  let rw = Word.width_signed o.Trace.result in
-  if rw > t.res_w.(i) then t.res_w.(i) <- rw;
-  let ow =
-    max (Word.width_signed o.Trace.src1) (Word.width_signed o.Trace.src2)
-  in
-  if ow > t.opd_w.(i) then t.opd_w.(i) <- ow
+  t.res.(i) <- t.res.(i) lor magnitude result;
+  t.opd.(i) <- t.opd.(i) lor magnitude src1 lor magnitude src2
 
 let executed t i = t.seen.(i)
-let result_width t i = if t.seen.(i) then t.res_w.(i) else 32
-let operand_width t i = if t.seen.(i) then t.opd_w.(i) else 32
+let result_width t i = if t.seen.(i) then Word.width_signed t.res.(i) else 32
+
+let operand_width t i =
+  if t.seen.(i) then Word.width_signed t.opd.(i) else 32
+
 let instr_width t i = max (result_width t i) (operand_width t i)
 
 let pp ppf t =
@@ -34,7 +36,7 @@ let pp ppf t =
   Array.iteri
     (fun i seen ->
       if seen then
-        Format.fprintf ppf "%4d: opd<=%2d res<=%2d@," i t.opd_w.(i)
-          t.res_w.(i))
+        Format.fprintf ppf "%4d: opd<=%2d res<=%2d@," i (operand_width t i)
+          (result_width t i))
     t.seen;
   Format.fprintf ppf "@]"

@@ -5,13 +5,22 @@
     two's-complement width of the register operands and of the result
     over all executions.  The selection algorithms use these maxima both
     to filter candidates (default: width <= 18 bits) and to size PFU
-    hardware ({!T1000_hwcost}). *)
+    hardware ({!T1000_hwcost}).
+
+    {!record} does no width arithmetic: per slot it ORs the
+    sign-normalised magnitudes ([v] for [v >= 0], [lnot v] otherwise)
+    of the values it is given, and the width queries take
+    {!T1000_isa.Word.width_signed} of that OR.  This is exact: the
+    leading one of [a lor b] is the higher of the two leading ones, so
+    the width of the OR is the maximum of the per-value widths. *)
 
 type t
 
 val create : n_slots:int -> t
-val record : t -> T1000_machine.Trace.obs -> unit
-(** Intended as an {!T1000_machine.Interp.set_observer} hook. *)
+val record : t -> int -> int -> int -> int -> unit
+(** [record t i src1 src2 result] accounts one execution of slot [i]
+    with those operand and result values: the arguments of a
+    {!T1000_machine.Interp.set_observer} hook.  Allocates nothing. *)
 
 val executed : t -> int -> bool
 (** Whether the slot ever executed. *)

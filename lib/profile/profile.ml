@@ -13,19 +13,20 @@ type t = {
 let collect ?(max_steps = 1_000_000_000) ?ext_eval ~init program =
   let n = Program.length program in
   let counts = Array.make n 0 in
-  let latency = Array.map Instr.latency (Program.instrs program) in
   let bw = Bitwidth.create ~n_slots:n in
-  let weight = ref 0 in
   let mem = Memory.create () in
   let regs = Regfile.create () in
   init mem regs;
   let interp = Interp.create ~regs ~mem ?ext_eval program in
-  Interp.set_observer interp (fun obs ->
-      let i = obs.Trace.entry.Trace.index in
+  Interp.set_observer interp (fun i src1 src2 result ->
       counts.(i) <- counts.(i) + 1;
-      weight := !weight + latency.(i);
-      Bitwidth.record bw obs);
+      Bitwidth.record bw i src1 src2 result);
   let total = Interp.run ~max_steps interp in
+  let code = Interp.code interp in
+  let weight = ref 0 in
+  Array.iteri
+    (fun i c -> weight := !weight + (c * Instr.latency code.(i)))
+    counts;
   { program; counts; bitwidth = bw; total_instrs = total; total_weight = !weight }
 
 let program t = t.program

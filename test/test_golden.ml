@@ -41,6 +41,27 @@ let render id c =
   | text, [] -> text
   | _, faults -> Alcotest.failf "%s faulted:@\n%a" id Report.pp_faults faults
 
+(* The profiler's whole output on every registry kernel (not only the
+   fixed two-workload suite: it costs one interpretation each): per
+   slot the dynamic count, instruction width and operand width, then
+   the totals.  Both selection algorithms start from these numbers. *)
+let profile_dump () =
+  let open T1000_profile in
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun (w : T1000_workloads.Workload.t) ->
+      let p = Runner.((analyze w).profile) in
+      let n = T1000_asm.Program.length w.T1000_workloads.Workload.program in
+      Printf.bprintf b "%s: %d slots, %d instrs, weight %d\n"
+        w.T1000_workloads.Workload.name n (Profile.total_instrs p)
+        (Profile.total_weight p);
+      for i = 0 to n - 1 do
+        Printf.bprintf b "  %4d %9d w%2d o%2d\n" i (Profile.count p i)
+          (Profile.instr_width p i) (Profile.operand_width p i)
+      done)
+    T1000_workloads.Registry.all;
+  Buffer.contents b
+
 let artifacts : (string * (Experiment.ctx -> string)) list =
   List.map (fun id -> (id, render id)) Report.artifact_ids
   @ [
@@ -54,6 +75,7 @@ let artifacts : (string * (Experiment.ctx -> string)) list =
                 with
                | Ok s -> s
                | Error e -> Alcotest.failf "golden dse space: %s" e)) );
+      ("profile", fun _ -> profile_dump ());
     ]
 
 let read_file path =

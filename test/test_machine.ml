@@ -434,12 +434,18 @@ let test_interp_observer () =
   Builder.halt b;
   let p = Builder.build b in
   let i = Interp.create p in
-  Interp.set_observer i (fun o -> seen := o.Trace.result :: !seen);
+  Interp.set_observer i (fun index src1 src2 result ->
+      seen := (index, src1, src2, result) :: !seen);
   ignore (Interp.run i);
-  Alcotest.(check (list int)) "observed results" [ 0; 8; 5 ] !seen;
+  (* slot, operands (an immediate as the second) and result per step *)
+  Alcotest.(check (list (pair int (triple int int int))))
+    "observed steps"
+    [ (0, (0, 5, 5)); (1, (5, 3, 8)); (2, (0, 0, 0)) ]
+    (List.rev_map (fun (i, a, b, r) -> (i, (a, b, r))) !seen);
   (* clearing stops observation *)
   let i2 = Interp.create p in
-  Interp.set_observer i2 (fun _ -> Alcotest.fail "observer not cleared");
+  Interp.set_observer i2 (fun _ _ _ _ ->
+      Alcotest.fail "observer not cleared");
   Interp.clear_observer i2;
   ignore (Interp.run i2)
 

@@ -105,6 +105,59 @@ let test_init_data () =
   check_int "load result width" (Word.width_signed 12345)
     (Bitwidth.result_width (Profile.bitwidth prof) 1)
 
+(* Values the width fold must get right at the edges: zero and -1 (one
+   bit each), both sides of +-2^31, and the native extremes, whose
+   sign-normalised magnitudes fill every bit below the sign. *)
+let edge_values =
+  [
+    0; 1; -1; 255; -256; 1 lsl 31; -(1 lsl 31); (1 lsl 31) - 1;
+    -(1 lsl 31) - 1; min_int; max_int;
+  ]
+
+let value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl edge_values);
+        (2, int);
+        (2, map Word.sext32 int);
+        (2, int_range (-300) 300);
+      ])
+
+let test_or_width_is_max =
+  QCheck.Test.make ~name:"OR-accumulated width is the max width" ~count:1000
+    QCheck.(
+      make
+        ~print:Print.(list (triple int int int))
+        Gen.(list_size (int_range 1 12) (triple value_gen value_gen value_gen)))
+    (fun steps ->
+      let bw = Bitwidth.create ~n_slots:1 in
+      List.iter (fun (a, b, r) -> Bitwidth.record bw 0 a b r) steps;
+      let max_width f = List.fold_left (fun m x -> max m (f x)) 0 steps in
+      let res = max_width (fun (_, _, r) -> Word.width_signed r)
+      and opd =
+        max_width (fun (a, b, _) ->
+            max (Word.width_signed a) (Word.width_signed b))
+      in
+      Bitwidth.executed bw 0
+      && Bitwidth.result_width bw 0 = res
+      && Bitwidth.operand_width bw 0 = opd
+      && Bitwidth.instr_width bw 0 = max res opd)
+
+let test_kernels_match_reference () =
+  (* every registry kernel: counts, widths, executed flags and totals
+     equal a per-step max-of-widths fold over a second interpretation *)
+  List.iter
+    (fun (w : T1000_workloads.Workload.t) ->
+      let prof =
+        Profile.collect ~init:w.T1000_workloads.Workload.init
+          w.T1000_workloads.Workload.program
+      in
+      match T1000_fuzz.Oracle.profile_widths w prof with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "%s: %s" w.T1000_workloads.Workload.name d)
+    T1000_workloads.Registry.all
+
 let test_pp_hot () =
   let p =
     build (fun b ->
@@ -156,6 +209,9 @@ let () =
           Alcotest.test_case "unexecuted conservative" `Quick
             test_unexecuted_conservative;
           Alcotest.test_case "init data" `Quick test_init_data;
+          QCheck_alcotest.to_alcotest test_or_width_is_max;
+          Alcotest.test_case "kernels match the reference fold" `Quick
+            test_kernels_match_reference;
           Alcotest.test_case "pp_hot" `Quick test_pp_hot;
           Alcotest.test_case "instruction mix" `Quick test_mix;
         ] );

@@ -303,8 +303,8 @@ let test_rewrite_with_prefetch () =
       rw.Rewrite.program
   in
   let cfgld_count = ref 0 in
-  T1000_machine.Interp.set_observer interp (fun o ->
-      match o.T1000_machine.Trace.entry.T1000_machine.Trace.instr with
+  T1000_machine.Interp.set_observer interp (fun index _ _ _ ->
+      match (T1000_machine.Interp.code interp).(index) with
       | Instr.Cfgld _ -> incr cfgld_count
       | _ -> ());
   ignore (T1000_machine.Interp.run interp);
