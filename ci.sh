@@ -472,9 +472,11 @@ loop:
     halt
 EOF
 
+# The daemon runs under a generous T1000_MAX_CYCLES, which only caps
+# cycle budgets: the --max-cycles 1 request must still time out.
 for pass in 1 2; do
   SOCK="$SERVE_DIR/pass$pass.sock"
-  "$SERVE_CLI" serve --socket "$SOCK" -j 2 \
+  T1000_MAX_CYCLES=1000000000 "$SERVE_CLI" serve --socket "$SOCK" -j 2 \
     > "$SERVE_DIR/daemon$pass.log" 2>&1 &
   SERVE_PID=$!
   serve_wait "$SOCK" "$SERVE_PID"
@@ -489,6 +491,10 @@ for pass in 1 2; do
   } > "$SERVE_DIR/replies$pass.txt"
   serve_stop "$SERVE_PID" || { echo "serve pass $pass did not drain cleanly" >&2; exit 1; }
   [ ! -S "$SOCK" ] || { echo "serve left its socket behind" >&2; exit 1; }
+  grep -q '^error\[timeout\]' "$SERVE_DIR/replies$pass.txt" || {
+    echo "serve pass $pass: a request's max_cycles did not time out" >&2
+    exit 1
+  }
 done
 diff "$SERVE_DIR/replies1.txt" "$SERVE_DIR/replies2.txt" || {
   echo "daemon replies differ between two identical sessions" >&2

@@ -73,7 +73,7 @@ val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
     {!T1000_ooo.Stats.t}; the run is rebuilt around it
     ({!Runner.with_stats}), so its [used] is always [s] and a repeated
     call returns the {e physically same} [stats].  Sound because a run is a pure function of those inputs.
-    The [T1000_MAX_CYCLES] override and [Mconfig.progress_window] are
+    The [T1000_MAX_CYCLES] cap and [Mconfig.progress_window] are
     not in the key: they only decide whether a run raises, and a run
     that raises is not cached ({!Memo} clears the pending slot), so
     they cannot make a cached result wrong.  A machine's own

@@ -36,8 +36,8 @@ type t = {
   cache : T1000_cache.Hierarchy.config;
   max_cycles : int;
       (** simulation cycle budget; {!Sim.run} raises {!Sim.Sim_stuck}
-          past it (overridable via the [T1000_MAX_CYCLES] environment
-          variable) *)
+          past it.  The [T1000_MAX_CYCLES] environment variable can
+          only lower it: the smaller of the two applies *)
   progress_window : int;
       (** forward-progress watchdog: {!Sim.run} declares deadlock when
           the RUU is non-empty and no instruction has committed for this

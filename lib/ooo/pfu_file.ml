@@ -17,7 +17,6 @@ type t = {
   mutable rng : int;
   mutable hits : int;
   mutable misses : int;
-  mutable stalls : int;
   mutable prefetches : int;
 }
 
@@ -36,7 +35,6 @@ let create ~n ~penalty ~replacement =
     rng = 0x2545F491;
     hits = 0;
     misses = 0;
-    stalls = 0;
     prefetches = 0;
   }
 
@@ -133,9 +131,7 @@ let claim t ~now ~conf =
     end
     else begin
       match pick_victim t with
-      | -1 ->
-          t.stalls <- t.stalls + 1;
-          -1
+      | -1 -> -1
       | v ->
           let u = t.units.(v) in
           t.misses <- t.misses + 1;
@@ -188,11 +184,10 @@ let release t ~unit_id =
   end
 
 let selfcheck t =
-  if t.hits < 0 || t.misses < 0 || t.stalls < 0 || t.prefetches < 0 then
+  if t.hits < 0 || t.misses < 0 || t.prefetches < 0 then
     Some
-      (Printf.sprintf
-         "negative counter (hits %d, misses %d, stalls %d, prefetches %d)"
-         t.hits t.misses t.stalls t.prefetches)
+      (Printf.sprintf "negative counter (hits %d, misses %d, prefetches %d)"
+         t.hits t.misses t.prefetches)
   else if t.is_unlimited then None
   else begin
     let n = Array.length t.units in
@@ -220,13 +215,6 @@ let selfcheck t =
     go 0
   end
 
-let charge_stalls t n = t.stalls <- t.stalls + n
 let hits t = t.hits
 let misses t = t.misses
 let prefetches t = t.prefetches
-let reconfigs t = t.misses
-let stalls t = t.stalls
-
-let pp_stats ppf t =
-  Format.fprintf ppf "pfu: %d hits, %d misses/reconfigs, %d dispatch stalls"
-    t.hits t.misses t.stalls

@@ -75,22 +75,18 @@ val prefetches : t -> int
 (** Loads started by {!prefetch}. *)
 
 val hits : t -> int
+
 val misses : t -> int
-val reconfigs : t -> int
-(** Equal to [misses]: every tag miss loads a configuration. *)
-
-val stalls : t -> int
-val charge_stalls : t -> int -> unit
-(** Count [n] more dispatch stalls without retrying: what [n] repeats
-    of a {!request} that returns [Stall] would have counted.  A stalled
-    request changes nothing else, so the simulator's dead-cycle skip
-    charges a skipped span's retries in bulk. *)
-
-val pp_stats : Format.formatter -> t -> unit
+(** Tag misses; every one loads a configuration (a reconfiguration).
+    A [Stall] is neither, and changes no state of the file at all (no
+    counter, pin, recency or random draw): the simulator counts its
+    dispatch stalls itself, and its dead-cycle skip relies on a
+    stalled retry repeating identically. *)
 
 val selfcheck : t -> string option
 (** Structural-invariant audit used by the simulator's opt-in
-    self-check mode: non-negative event counters, non-negative pin
-    counts, and no configuration tag loaded into two units at once.
+    self-check mode: non-negative hit, miss and prefetch counters,
+    non-negative pin counts, and no configuration tag loaded into two
+    units at once.
     [None] when all invariants hold, [Some description] of the first
     violation otherwise. *)

@@ -56,6 +56,14 @@ let env_max_cycles () =
                              got %S"
                s))
 
+(* Slots of [run]'s charge vector: the counters a quiet cycle can add
+   to (DESIGN.md Section 5k). *)
+let ruu_full = 0
+let fetch_stall = 1
+let pfu_stall = 2
+let occupancy = 3
+let n_charges = 4
+
 (* State of the single unresolved misprediction. *)
 type pending = No_pending | In_ifq | In_flight
 
@@ -134,12 +142,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let now = ref 0 in
   let committed = ref 0 in
   let ext_committed = ref 0 in
-  let ruu_full_stalls = ref 0 in
+  (* Charges: [cyc] holds what the current cycle adds to each slot's
+     counter, [total] the sum over the earlier cycles. *)
+  let cyc = Array.make n_charges 0 and total = Array.make n_charges 0 in
+  let charge slot = cyc.(slot) <- cyc.(slot) + 1 in
   let fetch_resume = ref 0 in
   let last_fetch_line = ref (-1) in
   let mispredicts = ref 0 in
-  let fetch_stall_cycles = ref 0 in
-  let occupancy_sum = ref 0 in
   let line_shift =
     let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
     log2 mconfig.Mconfig.cache.Hierarchy.l1i_line 0
@@ -198,7 +207,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
            ruu_occupancy = Ruu.occupancy ruu;
            ruu_size = Ruu.size ruu;
            ifq_length = !q_len;
-           pfu = Format.asprintf "%a" Pfu_file.pp_stats pfus;
+           pfu =
+             Printf.sprintf
+               "pfu: %d hits, %d misses/reconfigs, %d dispatch stalls"
+               (Pfu_file.hits pfus) (Pfu_file.misses pfus) total.(pfu_stall);
          })
   in
   let violation what = function
@@ -238,29 +250,15 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     end
   in
 
-  (* Per-cycle functional-unit availability.  [pfu_busy_stamp] is a
-     reusable scratch (stamp = cycle the unit last issued) replacing
-     the per-cycle hashtable the issue stage used to allocate; it grows
-     on demand because an unlimited PFU file assigns one unit per
-     configuration. *)
-  let pfu_busy_stamp = ref (Array.make 16 (-1)) in
-  let pfu_busy unit_id =
-    let a = !pfu_busy_stamp in
-    unit_id < Array.length a && a.(unit_id) = !now
-  in
-  let pfu_mark_busy unit_id =
-    let a = !pfu_busy_stamp in
-    let len = Array.length a in
-    if unit_id >= len then begin
-      let cap = ref (len * 2) in
-      while unit_id >= !cap do
-        cap := !cap * 2
-      done;
-      let b = Array.make !cap (-1) in
-      Array.blit a 0 b 0 len;
-      pfu_busy_stamp := b
-    end;
-    !pfu_busy_stamp.(unit_id) <- !now
+  (* Per-cycle PFU availability: the cycle each unit last issued.  A
+     limited file numbers its units below [n_pfus]; an unlimited one
+     gives each configuration its own unit, numbered by its id. *)
+  let pfu_busy_stamp =
+    let units = Option.value mconfig.Mconfig.n_pfus ~default:0 in
+    let ids =
+      Array.fold_left (fun m sl -> Int.max m (sl.Image.ext + 1)) 0 slots
+    in
+    Array.make (Int.max units ids) (-1)
   in
   (* Issue visits only the ready list, oldest first (see {!Ruu}): the
      same entries, in the same order, as a scan of the whole window
@@ -301,12 +299,12 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
               else Hierarchy.store_latency hier ~addr:e.Ruu.mem_addr
             end
         | Image.Pfu ->
-            if pfu_busy e.Ruu.pfu_unit then begin
+            if pfu_busy_stamp.(e.Ruu.pfu_unit) = now then begin
               ok := false;
               0
             end
             else begin
-              pfu_mark_busy e.Ruu.pfu_unit;
+              pfu_busy_stamp.(e.Ruu.pfu_unit) <- now;
               let latency = ext_latency e.Ruu.eid in
               Pfu_file.release pfus ~unit_id:e.Ruu.pfu_unit;
               latency
@@ -376,7 +374,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     let continue = ref true in
     while !continue && !n < mconfig.Mconfig.decode_width && !q_len > 0 do
       if Ruu.is_full ruu then begin
-        incr ruu_full_stalls;
+        charge ruu_full;
         continue := false
       end
       else begin
@@ -388,7 +386,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
         let unit_id = ref (-1) and ready = ref 0 in
         if sl.Image.ext >= 0 then begin
           let u = Pfu_file.claim pfus ~now:!now ~conf:sl.Image.ext in
-          if u < 0 then continue := false
+          if u < 0 then begin
+            charge pfu_stall;
+            continue := false
+          end
           else begin
             unit_id := u;
             ready := Int.max !now (Pfu_file.ready_at pfus ~unit_id:u)
@@ -605,13 +606,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
 
   let fetch_stage () =
     if !now < !fetch_resume then begin
-      if not !trace_done then incr fetch_stall_cycles
+      if not !trace_done then charge fetch_stall
     end
     else
       match !pending with
       | No_pending -> fetch_correct ()
       | In_ifq | In_flight ->
-          if !wp_active then fetch_wrong () else incr fetch_stall_cycles
+          if !wp_active then fetch_wrong () else charge fetch_stall
   in
 
   let finished () =
@@ -621,13 +622,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   ignore (peek ());
   let max_cycles =
     match env_max_cycles () with
-    | Some n -> n
+    | Some n -> Int.min n mconfig.Mconfig.max_cycles
     | None -> mconfig.Mconfig.max_cycles
   in
   let progress_window = mconfig.Mconfig.progress_window in
   (* --- Dead-cycle skipping (DESIGN.md Section 5k) ---
      After a quiet cycle, every cycle before the event horizon repeats
-     it: same stalls, same occupancy, nothing moves.  The horizon is the
+     it: the same charges, and nothing else moves.  The horizon is the
      first cycle at which something can: an entry joins the ready list,
      the head or the mispredicted branch completes, fetch resumes, or a
      watchdog fires (clamped so [Sim_stuck] carries the same cycle and
@@ -654,20 +655,15 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   in
   let skipped = ref 0 in
   (* Self-check executes every cycle and audits the skip instead: the
-     cycles before [span_end] must repeat the quiet cycle that opened
-     the span, with these per-cycle counter deltas. *)
-  let span_end = ref (-1) in
-  let span_ruu_full = ref 0 and span_fetch_stall = ref 0 in
-  let span_pfu_stall = ref 0 and span_occupancy = ref 0 in
+     cycles before [span_end] must repeat [span], the charges of the
+     quiet cycle that opened the span. *)
+  let span_end = ref (-1) and span = Array.make n_charges 0 in
   while not (finished ()) do
     if !now > max_cycles then stuck `Cycle_budget max_cycles;
     if Ruu.is_empty ruu then last_commit := !now
     else if !now - !last_commit > progress_window then
       stuck `No_commit progress_window;
-    let occupancy = Ruu.occupancy ruu in
-    occupancy_sum := !occupancy_sum + occupancy;
-    let ruu_full0 = !ruu_full_stalls and fetch_stall0 = !fetch_stall_cycles in
-    let pfu_stall0 = Pfu_file.stalls pfus in
+    cyc.(occupancy) <- Ruu.occupancy ruu;
     live := false;
     squash_stage ();
     commit_stage ();
@@ -678,21 +674,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     let quiet =
       (not !live) && Ruu.first_ready ruu < 0 && not (finished ())
     in
-    let d_ruu_full = !ruu_full_stalls - ruu_full0 in
-    let d_fetch_stall = !fetch_stall_cycles - fetch_stall0 in
-    let d_pfu_stall = Pfu_file.stalls pfus - pfu_stall0 in
     if selfcheck && !now - 1 < !span_end then begin
       if not quiet then
         violation "dead-cycle skip"
           (Some
              (Printf.sprintf "live cycle inside the quiet span ending at %d"
                 !span_end))
-      else if
-        d_ruu_full <> !span_ruu_full
-        || d_fetch_stall <> !span_fetch_stall
-        || d_pfu_stall <> !span_pfu_stall
-        || occupancy <> !span_occupancy
-      then
+      else if cyc <> span then
         violation "dead-cycle skip"
           (Some "quiet cycle differs from the one that opened its span")
       else if horizon () <> !span_end then
@@ -705,21 +693,21 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
         skipped := !skipped + k;
         if selfcheck then begin
           span_end := h;
-          span_ruu_full := d_ruu_full;
-          span_fetch_stall := d_fetch_stall;
-          span_pfu_stall := d_pfu_stall;
-          span_occupancy := occupancy
+          Array.blit cyc 0 span 0 n_charges
         end
         else begin
-          ruu_full_stalls := !ruu_full_stalls + (k * d_ruu_full);
-          fetch_stall_cycles := !fetch_stall_cycles + (k * d_fetch_stall);
-          Pfu_file.charge_stalls pfus (k * d_pfu_stall);
-          occupancy_sum := !occupancy_sum + (k * occupancy);
+          for i = 0 to n_charges - 1 do
+            total.(i) <- total.(i) + (k * cyc.(i))
+          done;
           if Ruu.is_empty ruu then last_commit := h - 1;
           now := h
         end
       end
-    end
+    end;
+    for i = 0 to n_charges - 1 do
+      total.(i) <- total.(i) + cyc.(i);
+      cyc.(i) <- 0
+    done
   done;
   let mr c = Cache.miss_rate c and tr t = Tlb.miss_rate t in
   let stats =
@@ -732,17 +720,17 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
        else float_of_int !committed /. float_of_int !now);
     pfu_hits = Pfu_file.hits pfus;
     pfu_misses = Pfu_file.misses pfus;
-    pfu_stalls = Pfu_file.stalls pfus;
-    ruu_full_stalls = !ruu_full_stalls;
+    pfu_stalls = total.(pfu_stall);
+    ruu_full_stalls = total.(ruu_full);
     branch_mispredicts = !mispredicts;
     squashes = !squashes;
     squashed_instrs = !squashed_instrs;
     wrong_path_fetched = !wrong_path_fetched;
     recovery_cycles = !recovery_cycles;
-    fetch_stall_cycles = !fetch_stall_cycles;
+    fetch_stall_cycles = total.(fetch_stall);
     avg_ruu_occupancy =
       (if !now = 0 then 0.0
-       else float_of_int !occupancy_sum /. float_of_int !now);
+       else float_of_int total.(occupancy) /. float_of_int !now);
       l1i_miss_rate = mr (Hierarchy.l1i hier);
       l1d_miss_rate = mr (Hierarchy.l1d hier);
       l2_miss_rate = mr (Hierarchy.l2 hier);

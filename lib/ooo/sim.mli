@@ -67,7 +67,10 @@ type stuck = {
   ruu_occupancy : int;
   ruu_size : int;
   ifq_length : int;
-  pfu : string;  (** rendered PFU-file statistics *)
+  pfu : string;
+      (** PFU-file hits and misses and the dispatch stalls on the file,
+          rendered as
+          [pfu: H hits, M misses/reconfigs, S dispatch stalls] *)
 }
 
 exception Sim_stuck of stuck
@@ -81,8 +84,9 @@ exception Selfcheck_violation of string
 val pp_stuck : Format.formatter -> stuck -> unit
 
 val env_max_cycles : unit -> int option
-(** The [T1000_MAX_CYCLES] environment override of
-    {!Mconfig.t.max_cycles}, if set and non-empty.
+(** The [T1000_MAX_CYCLES] environment cap on
+    {!Mconfig.t.max_cycles}, if set and non-empty: {!run} uses the
+    smaller of the two.
     @raise Invalid_argument
       if the variable holds anything other than a positive integer. *)
 
@@ -97,9 +101,10 @@ val run :
 (** Simulate the program to completion.
 
     Two watchdogs bound every run: a total cycle budget
-    ([mconfig.max_cycles], overridable with the [T1000_MAX_CYCLES]
-    environment variable) and a forward-progress check (no commit for
-    [mconfig.progress_window] cycles while instructions are in flight).
+    ([mconfig.max_cycles], or the [T1000_MAX_CYCLES] environment
+    variable when that is smaller) and a forward-progress check (no
+    commit for [mconfig.progress_window] cycles while instructions are
+    in flight).
     Either tripping raises {!Sim_stuck} with a diagnostic snapshot
     instead of looping forever.
 

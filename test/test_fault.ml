@@ -426,14 +426,16 @@ let test_watchdog_cycle_budget () =
         && String.length (Format.asprintf "%a" Sim.pp_stuck s) > 0)
 
 let test_watchdog_env_override () =
+  let limit mconfig =
+    match Sim.run ~mconfig ~init:(fun _ _ -> ()) (loop_program ()) with
+    | _ -> -1
+    | exception Sim.Sim_stuck s ->
+        if s.Sim.reason = `Cycle_budget then s.Sim.limit else -1
+  in
   with_env "T1000_MAX_CYCLES" "5" (fun () ->
-      check_bool "env override wins over mconfig" true
-        (match
-           Sim.run ~init:(fun _ _ -> ()) (loop_program ())
-         with
-        | _ -> false
-        | exception Sim.Sim_stuck s ->
-            s.Sim.reason = `Cycle_budget && s.Sim.limit = 5));
+      check_int "env caps a larger machine budget" 5 (limit Mconfig.default);
+      check_int "env never raises a machine budget" 3
+        (limit { Mconfig.default with Mconfig.max_cycles = 3 }));
   with_env "T1000_MAX_CYCLES" "abc" (fun () ->
       check_bool "garbage env rejected" true
         (match Sim.env_max_cycles () with

@@ -660,23 +660,29 @@ let test_e2e_fault_isolation () =
   | `Outcome _ -> ()
   | _ -> Alcotest.fail "daemon must keep serving after poisoned requests"
 
+(* A cycle budget far below what unepic needs: the sim watchdog trips
+   and its RUU/PFU diagnostic snapshot rides back in the reply.
+   [T1000_MAX_CYCLES] only caps budgets, so a daemon started under a
+   generous one still honours the request's own. *)
 let test_e2e_sim_budget_timeout () =
-  with_server @@ fun _srv addr ->
-  let c = connect_exn addr in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (* A cycle budget far below what unepic needs: the sim watchdog trips
-     and its RUU/PFU diagnostic snapshot rides back in the reply. *)
-  match request_exn c (sel ~max_cycles:500 ()) with
-  | `Error (Protocol.Timeout, msg) ->
-      check_bool "carries the watchdog diagnosis" true
-        (contains ~affix:"stuck" msg);
-      check_bool "carries RUU occupancy" true
-        (contains ~affix:"RUU" msg
-        || contains ~affix:"ruu" msg)
-  | `Error (c', m) ->
-      Alcotest.failf "expected Timeout, got %s: %s"
-        (Protocol.string_of_code c') m
-  | _ -> Alcotest.fail "expected a typed timeout"
+  let budget_timeout () =
+    with_server @@ fun _srv addr ->
+    let c = connect_exn addr in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    match request_exn c (sel ~max_cycles:500 ()) with
+    | `Error (Protocol.Timeout, msg) ->
+        check_bool "carries the watchdog diagnosis" true
+          (contains ~affix:"stuck" msg);
+        check_bool "carries RUU occupancy" true
+          (contains ~affix:"RUU" msg
+          || contains ~affix:"ruu" msg)
+    | `Error (c', m) ->
+        Alcotest.failf "expected Timeout, got %s: %s"
+          (Protocol.string_of_code c') m
+    | _ -> Alcotest.fail "expected a typed timeout"
+  in
+  budget_timeout ();
+  with_env [ ("T1000_MAX_CYCLES", "1000000000") ] budget_timeout
 
 let test_e2e_deadline () =
   with_server @@ fun _srv addr ->
