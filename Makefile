@@ -1,4 +1,4 @@
-.PHONY: all build test fmt smoke fuzz speed trace dse golden serve-bench ci clean
+.PHONY: all build test fmt smoke fuzz trace dse golden serve-bench ci clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # Formatting check of the dune files (dune-project formats nothing
 # else), as ci.sh runs it: bench/suite/dune is left out (ROADMAP.md).
 fmt:
-	dune build @@fmt @lib/fmt @bin/fmt @test/fmt @examples/fmt @@bench/fmt
+	dune build @@fmt @lib/fmt @bin/fmt @test/fmt @examples/fmt
 
 # Cheap end-to-end smoke of the experiment engine on the golden suite:
 # Figure 2 on 1 and 4 workers, then every artifact id, each diffed
@@ -36,11 +36,6 @@ smoke:
 # shrunk reproducer under _fuzz/.
 fuzz:
 	dune exec bin/t1000_cli.exe -- fuzz --seed 42 --cases 200
-
-# Full engine timing: sequential vs parallel over every paper artifact
-# and ablation; writes BENCH_engine.json.
-speed:
-	dune exec bench/main.exe -- speed
 
 # Design-space exploration: Pareto frontier of (geomean speedup, LUT
 # area, PFU count) over the 6-axis selective configuration space, with

@@ -6,11 +6,16 @@
    validating reader, so a value means the same, and fails the same way
    (exit 2), whether it came from the flag or the environment.  The
    library reads the variables where it needs them (Runner.setup,
-   Pool, Server.default_config), in this process, in its worker
-   domains and in the daemons `supervise` starts.
+   Pool), in this process, in its worker domains and in the daemons
+   `supervise` starts.
 
    [setup] is the evaluation setup (-m/-p/-r), built after [env] has
-   applied --bpred and --selfcheck so Runner.setup sees them. *)
+   applied --bpred and --selfcheck so Runner.setup sees them.
+
+   [daemon] is the serve tier's Server.config (--queue, --deadline,
+   --max-steps), for `serve` and `supervise` only.  Its flags have no
+   environment twin: the values go straight into the record, and
+   Server.validate is their one check. *)
 
 open Cmdliner
 
@@ -27,9 +32,6 @@ let with_faults f =
       exit (T1000.Fault.exit_code fault)
 
 (* ---- the env-twin term ---- *)
-
-(* A float flag's value, exported without loss. *)
-let exact = Printf.sprintf "%.17g"
 
 let twin ~flag var ~read to_string value =
   Option.iter
@@ -84,25 +86,6 @@ let trace =
            observational: stdout is byte-identical with and without this \
            flag.")
 
-let queue =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "queue" ] ~docv:"N"
-        ~doc:
-          "A serve daemon's admission queue depth; a full queue sheds with \
-           a typed 'overloaded' reply (also: $(b,T1000_SERVE_QUEUE)).")
-
-let deadline =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "deadline" ] ~docv:"MS"
-        ~doc:
-          "A serve daemon's default per-request wall-clock deadline in \
-           milliseconds, for requests that carry none (also: \
-           $(b,T1000_SERVE_DEADLINE_MS)).")
-
 let retries =
   Arg.(
     value
@@ -123,22 +106,16 @@ let setup_trace = function
           T1000.Obs.Tracer.write_chrome path;
           Format.eprintf "t1000_cli: trace written to %s@." path)
 
-let apply bpred jobs selfcheck trace queue deadline retries =
+let apply bpred jobs selfcheck trace retries =
   twin ~flag:"--bpred" "T1000_BPRED" ~read:T1000_bpred.Predictor.env_spec Fun.id
     bpred;
   twin ~flag:"-j" "T1000_NJOBS" ~read:T1000.Pool.default_njobs string_of_int jobs;
   if selfcheck then Unix.putenv "T1000_SELFCHECK" "1";
-  twin ~flag:"--queue" "T1000_SERVE_QUEUE"
-    ~read:T1000_serve.Server.env_queue_depth string_of_int queue;
-  twin ~flag:"--deadline" "T1000_SERVE_DEADLINE_MS"
-    ~read:T1000_serve.Server.env_deadline_ms exact deadline;
   twin ~flag:"--retries" "T1000_RETRIES" ~read:T1000.Pool.env_retries
     string_of_int retries;
   setup_trace trace
 
-let env =
-  Term.(
-    const apply $ bpred $ jobs $ selfcheck $ trace $ queue $ deadline $ retries)
+let env = Term.(const apply $ bpred $ jobs $ selfcheck $ trace $ retries)
 
 (* ---- the setup term ---- *)
 
@@ -189,6 +166,50 @@ let setup_with method_ =
     $ env $ method_ $ pfus $ penalty)
 
 let setup = setup_with method_
+
+(* ---- the serve-tier term ---- *)
+
+let queue =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "queue" ] ~docv:"N"
+        ~doc:
+          "A serve daemon's admission queue depth; a full queue sheds with \
+           a typed 'overloaded' reply.")
+
+let deadline =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "deadline" ] ~docv:"MS"
+        ~doc:
+          "A serve daemon's default per-request wall-clock deadline in \
+           milliseconds, for requests that carry none.")
+
+let max_steps =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-steps" ] ~docv:"N"
+        ~doc:
+          "A serve daemon's functional-execution step cap for \
+           client-submitted kernels (a non-halting program becomes a typed \
+           error).")
+
+(* Built after [env] has applied -j, which the worker count reads. *)
+let daemon =
+  Term.(
+    const (fun () queue deadline max_steps ->
+        let base = T1000_serve.Server.default_config () in
+        {
+          base with
+          queue_depth = Option.value queue ~default:base.queue_depth;
+          default_deadline_ms =
+            (if deadline = None then base.default_deadline_ms else deadline);
+          max_steps = Option.value max_steps ~default:base.max_steps;
+        })
+    $ env $ queue $ deadline $ max_steps)
 
 (* ---- workloads ---- *)
 

@@ -25,13 +25,7 @@ let validate_env () =
     ignore (T1000.Fault.getenv_bool "T1000_METRICS");
     ignore (T1000.Checkpoint.default_dir_validated ());
     ignore (T1000.Pool.env_backoff_scale ());
-    ignore (T1000_serve.Server.env_queue_depth ());
-    ignore (T1000_serve.Server.env_deadline_ms ());
-    ignore (T1000_serve.Server.env_addr ());
     ignore (T1000.Memo.env_cap ());
-    ignore (T1000_serve.Supervisor.env_replicas ());
-    ignore (T1000_serve.Supervisor.env_restarts ());
-    ignore (T1000_serve.Supervisor.env_health_ms ());
     Result.iter_error invalid_arg (T1000_workloads.Registry.of_env ())
   with
   | Invalid_argument msg ->
@@ -540,29 +534,16 @@ let addr_conv =
         Format.pp_print_string ppf (T1000_serve.Server.addr_to_string a) )
 
 let serve_cmd =
-  let run () socket tcp max_steps =
+  let run base socket tcp =
     Opts.with_faults @@ fun () ->
     (* A client that disconnects mid-reply must not kill the daemon. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (* Queue depth, workers and the default deadline come from the
-       environment, where [Opts.env] has put their flags. *)
-    let base = T1000_serve.Server.default_config () in
     let addrs =
-      (match socket with
-      | Some p -> [ T1000_serve.Server.Unix_sock p ]
-      | None -> [])
-      @ (match tcp with Some a -> [ a ] | None -> [])
+      Option.to_list
+        (Option.map (fun p -> T1000_serve.Server.Unix_sock p) socket)
+      @ Option.to_list tcp
     in
-    let cfg =
-      {
-        base with
-        T1000_serve.Server.addrs =
-          (if addrs <> [] then addrs else base.T1000_serve.Server.addrs);
-        max_steps =
-          Option.value max_steps ~default:base.T1000_serve.Server.max_steps;
-      }
-    in
-    let t = T1000_serve.Server.create cfg in
+    let t = T1000_serve.Server.create { base with T1000_serve.Server.addrs } in
     List.iter
       (fun a ->
         Format.printf "t1000 serve: listening on %s@."
@@ -591,15 +572,6 @@ let serve_cmd =
             "Listen on $(docv) (tcp:HOST:PORT; port 0 binds an ephemeral \
              port, printed at startup).")
   in
-  let max_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:
-            "Functional-execution step cap for client-submitted kernels \
-             (a non-halting program becomes a typed error).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -607,36 +579,38 @@ let serve_cmd =
           requests over Unix/TCP sockets, bounded admission with typed \
           shedding, per-request deadlines, fault isolation, and graceful \
           drain on SIGTERM.")
-    Term.(const run $ Opts.env $ socket $ tcp $ max_steps)
+    Term.(const run $ Opts.daemon $ socket $ tcp)
 
 let supervise_cmd =
-  let run () replicas socket_dir restarts health_ms grace max_steps =
+  let run (daemon : T1000_serve.Server.config) replicas socket_dir restarts
+      health_ms grace =
     Opts.with_faults @@ fun () ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (* --replicas, --restarts and --health-ms are env twins as well,
-       read back by [default_config]. *)
-    Opts.twin ~flag:"--replicas" "T1000_SUPERVISE_REPLICAS"
-      ~read:T1000_serve.Supervisor.env_replicas string_of_int replicas;
-    Opts.twin ~flag:"--restarts" "T1000_SUPERVISE_RESTARTS"
-      ~read:T1000_serve.Supervisor.env_restarts string_of_int restarts;
-    Opts.twin ~flag:"--health-ms" "T1000_SUPERVISE_HEALTH_MS"
-      ~read:T1000_serve.Supervisor.env_health_ms Opts.exact health_ms;
+    (* Every replica's Server.create checks the values forwarded below;
+       checking them here too makes a bad one exit 2 before any replica
+       starts, not a restart loop. *)
+    T1000_serve.Server.validate daemon;
     let base = T1000_serve.Supervisor.default_config () in
     let cfg =
       {
         base with
-        T1000_serve.Supervisor.socket_dir =
-          Option.value socket_dir
-            ~default:base.T1000_serve.Supervisor.socket_dir;
-        drain_grace_s =
-          Option.value grace
-            ~default:base.T1000_serve.Supervisor.drain_grace_s;
+        T1000_serve.Supervisor.replicas =
+          Option.value replicas ~default:base.replicas;
+        socket_dir = Option.value socket_dir ~default:base.socket_dir;
+        restarts = Option.value restarts ~default:base.restarts;
+        health_period_s =
+          Option.fold health_ms ~none:base.health_period_s ~some:(fun ms ->
+              ms /. 1000.0);
+        drain_grace_s = Option.value grace ~default:base.drain_grace_s;
         (* The replicas inherit the environment, and with it every flag
-           of [Opts.env]; only the step cap travels as an argument. *)
+           of [Opts.env]; the [Opts.daemon] values travel as arguments. *)
         serve_args =
-          (match max_steps with
-          | Some n -> [ "--max-steps"; string_of_int n ]
-          | None -> []);
+          [
+            "--queue"; string_of_int daemon.queue_depth;
+            "--max-steps"; string_of_int daemon.max_steps;
+          ]
+          @ Option.fold daemon.default_deadline_ms ~none:[] ~some:(fun ms ->
+                [ "--deadline"; Printf.sprintf "%.17g" ms ]);
       }
     in
     let sup = T1000_serve.Supervisor.create cfg in
@@ -665,9 +639,7 @@ let supervise_cmd =
       value
       & opt (some int) None
       & info [ "replicas" ] ~docv:"N"
-          ~doc:
-            "Child daemons to supervise (also: \
-             $(b,T1000_SUPERVISE_REPLICAS); default 3).")
+          ~doc:"Child daemons to supervise (default 3).")
   in
   let socket_dir =
     Arg.(
@@ -685,16 +657,14 @@ let supervise_cmd =
       & info [ "restarts" ] ~docv:"N"
           ~doc:
             "Per-replica restart budget before the supervisor gives up on \
-             it (also: $(b,T1000_SUPERVISE_RESTARTS); default 5).")
+             it (default 5).")
   in
   let health_ms =
     Arg.(
       value
       & opt (some float) None
       & info [ "health-ms" ] ~docv:"MS"
-          ~doc:
-            "Health-probe period per replica (also: \
-             $(b,T1000_SUPERVISE_HEALTH_MS); default 500).")
+          ~doc:"Health-probe period per replica (default 500).")
   in
   let grace =
     Arg.(
@@ -704,13 +674,6 @@ let supervise_cmd =
           ~doc:
             "Graceful-drain allowance per replica on shutdown before \
              escalating to SIGKILL (default 5).")
-  in
-  let max_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Functional-execution step cap passed to every replica.")
   in
   Cmd.v
     (Cmd.info "supervise"
@@ -722,8 +685,8 @@ let supervise_cmd =
           SIGTERM.  Exit code 3 if any replica exhausted its restart \
           budget.")
     Term.(
-      const run $ Opts.env $ replicas $ socket_dir $ restarts $ health_ms
-      $ grace $ max_steps)
+      const run $ Opts.daemon $ replicas $ socket_dir $ restarts $ health_ms
+      $ grace)
 
 (* -c/--connect accepts a comma-separated endpoint list; more than one
    endpoint switches the client into failover mode (round-robin with
@@ -751,20 +714,10 @@ let addrs_conv =
              (List.map T1000_serve.Server.addr_to_string addrs)) )
 
 let client_cmd =
-  let run connect ping health timeout_ms asm kernel method_ pfus penalty
+  let run addrs ping health timeout_ms asm kernel method_ pfus penalty
       max_cycles deadline count show_cached =
     Opts.with_faults @@ fun () ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let addrs =
-      match connect with
-      | Some l -> l
-      | None -> (
-          match T1000_serve.Server.env_addr () with
-          | Some a -> [ a ]
-          | None ->
-              T1000.Fault.invalid_config
-                "no daemon address: give --connect or set T1000_SERVE_ADDR")
-    in
     let timeout_s = Option.map (fun ms -> ms /. 1000.0) timeout_ms in
     let print_reply = function
       | Ok (`Outcome o) ->
@@ -888,12 +841,12 @@ let client_cmd =
   in
   let connect =
     Arg.(
-      value
+      required
       & opt (some addrs_conv) None
       & info [ "c"; "connect" ] ~docv:"ADDRS"
           ~doc:
             "Daemon address(es): comma-separated unix:PATH or \
-             tcp:HOST:PORT (also: $(b,T1000_SERVE_ADDR)).  More than one \
+             tcp:HOST:PORT.  More than one \
              endpoint enables round-robin failover: a request moves to \
              the next replica when one is down, sheds, or times out.")
   in

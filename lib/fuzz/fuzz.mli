@@ -21,7 +21,7 @@ type outcome = {
   cases : int;
   failures : failure list;
   elapsed_s : float;
-  cases_per_s : float;  (** fuzz throughput, recorded by [bench speed] *)
+  cases_per_s : float;  (** fuzz throughput, printed by [t1000_cli fuzz] *)
 }
 
 val run_cases :

@@ -38,7 +38,7 @@ val time : string -> (unit -> 'a) -> 'a
 (** [time name f] runs [f ()], adding its wall-clock duration to the
     [name ^ ".seconds"] float accumulator and bumping the
     [name ^ ".calls"] counter — even when [f] raises.  This is how the
-    per-phase breakdown in [BENCH_engine.json] is sourced. *)
+    benchmark's per-phase breakdown ([core.phase_*_pct]) is sourced. *)
 
 val get : string -> int
 (** Merged value of a counter (0 when never written). *)

@@ -43,24 +43,6 @@ let parse_addr s =
           Error
             (Printf.sprintf "unknown address scheme %S (unix: or tcp:)" other))
 
-(* ---- environment knobs (fail-fast, exit-2 policy via validate_env) ---- *)
-
-let env_queue_depth () = Fault.getenv_int ~min:1 "T1000_SERVE_QUEUE"
-
-let env_deadline_ms () =
-  Fault.getenv_float "T1000_SERVE_DEADLINE_MS"
-    ~ok:(fun d -> d > 0.0 && Float.is_finite d)
-    ~what:"a positive number of milliseconds"
-
-let env_addr () =
-  match Sys.getenv_opt "T1000_SERVE_ADDR" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match parse_addr (String.trim s) with
-      | Ok a -> Some a
-      | Error msg -> Fault.invalid_config "T1000_SERVE_ADDR: %s" msg)
-
 type config = {
   addrs : addr list;
   queue_depth : int;
@@ -71,10 +53,10 @@ type config = {
 
 let default_config () =
   {
-    addrs = (match env_addr () with Some a -> [ a ] | None -> []);
-    queue_depth = Option.value (env_queue_depth ()) ~default:64;
+    addrs = [];
+    queue_depth = 64;
     njobs = Pool.default_njobs ();
-    default_deadline_ms = env_deadline_ms ();
+    default_deadline_ms = None;
     max_steps = 10_000_000;
   }
 
@@ -117,10 +99,7 @@ type t = {
 
 let respawn_cap = 64
 
-let create cfg =
-  if cfg.addrs = [] then
-    Fault.invalid_config
-      "serve: no listen address (give --socket/--tcp or set T1000_SERVE_ADDR)";
+let validate cfg =
   if cfg.queue_depth < 1 then
     Fault.invalid_config "serve: queue depth must be >= 1, got %d"
       cfg.queue_depth;
@@ -131,7 +110,12 @@ let create cfg =
       Fault.invalid_config "serve: default deadline must be positive, got %g" d
   | _ -> ());
   if cfg.max_steps < 1 then
-    Fault.invalid_config "serve: max_steps must be >= 1, got %d" cfg.max_steps;
+    Fault.invalid_config "serve: max_steps must be >= 1, got %d" cfg.max_steps
+
+let create cfg =
+  if cfg.addrs = [] then
+    Fault.invalid_config "serve: no listen address (give --socket or --tcp)";
+  validate cfg;
   let ctx = Experiment.create_ctx ~workloads:[] ~max_steps:cfg.max_steps () in
   let cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap in
   let listen_on addr =

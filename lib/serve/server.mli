@@ -58,27 +58,6 @@ val parse_addr : string -> (addr, string) result
 
 val addr_to_string : addr -> string
 
-(** {1 Environment knobs}
-
-    Validated with the same fail-fast policy as every other [T1000_*]
-    variable (the CLI calls these in [validate_env] and exits 2 on a
-    bad value). *)
-
-val env_queue_depth : unit -> int option
-(** [T1000_SERVE_QUEUE]: admission queue depth.
-    @raise T1000.Fault.Error with [Invalid_config] unless a positive
-      integer. *)
-
-val env_deadline_ms : unit -> float option
-(** [T1000_SERVE_DEADLINE_MS]: default per-request deadline.
-    @raise T1000.Fault.Error with [Invalid_config] unless a positive
-      finite number. *)
-
-val env_addr : unit -> addr option
-(** [T1000_SERVE_ADDR]: default listen address.
-    @raise T1000.Fault.Error with [Invalid_config] on an unparsable
-      address. *)
-
 type config = {
   addrs : addr list;  (** listen addresses (at least one) *)
   queue_depth : int;  (** bounded admission queue capacity *)
@@ -94,11 +73,19 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Environment-driven defaults: [T1000_SERVE_ADDR] (else no address —
-    {!create} insists the caller names one), [T1000_SERVE_QUEUE] (else
-    64), [T1000_NJOBS] workers, [T1000_SERVE_DEADLINE_MS] (else none),
-    10M functional steps.  The CLI's [--queue], [-j] and [--deadline]
-    flags reach it through those variables. *)
+(** No address ({!create} insists the caller names one), queue depth
+    64, [T1000_NJOBS] workers, no default deadline, 10M functional
+    steps.  [t1000 serve] overrides them from its [--socket]/[--tcp],
+    [--queue], [--deadline] and [--max-steps] flags. *)
+
+val validate : config -> unit
+(** The bounds {!create} checks before it binds, addresses aside:
+    [t1000 supervise] runs them on the values it forwards to its
+    replicas, so a bad flag exits 2 before any replica starts.
+    @raise T1000.Fault.Error
+      with [Invalid_config] on a non-positive queue depth / worker
+      count / step cap, or a default deadline that is not a positive
+      finite number. *)
 
 type t
 
@@ -107,9 +94,8 @@ val create : config -> t
     is replaced (stale sockets from a killed daemon must not wedge a
     restart); TCP port 0 binds an ephemeral port (see {!bound_addrs}).
     @raise T1000.Fault.Error
-      with [Invalid_config] on an empty address list, a non-positive
-      queue depth / worker count / deadline, or an unbindable
-      address. *)
+      with [Invalid_config] on an empty address list, a value
+      {!validate} rejects, or an unbindable address. *)
 
 val bound_addrs : t -> addr list
 (** The addresses actually listening, with ephemeral TCP ports

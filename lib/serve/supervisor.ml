@@ -2,16 +2,6 @@ module Fault = T1000.Fault
 module Pool = T1000.Pool
 module Metrics = T1000_obs.Metrics
 
-(* ---------- environment knobs ---------- *)
-
-let env_replicas () = Fault.getenv_int ~min:1 "T1000_SUPERVISE_REPLICAS"
-let env_restarts () = Fault.getenv_int ~min:0 "T1000_SUPERVISE_RESTARTS"
-
-let env_health_ms () =
-  Fault.getenv_float "T1000_SUPERVISE_HEALTH_MS"
-    ~ok:(fun x -> x > 0.0 && Float.is_finite x)
-    ~what:"a positive number of milliseconds"
-
 (* ---------- configuration ---------- *)
 
 type config = {
@@ -29,14 +19,13 @@ type config = {
 let default_config () =
   {
     exe = Sys.executable_name;
-    replicas = Option.value (env_replicas ()) ~default:3;
+    replicas = 3;
     socket_dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "t1000-supervise-%d" (Unix.getpid ()));
-    restarts = Option.value (env_restarts ()) ~default:5;
-    health_period_s =
-      (match env_health_ms () with Some ms -> ms /. 1000.0 | None -> 0.5);
+    restarts = 5;
+    health_period_s = 0.5;
     health_timeout_s = 1.0;
     wedged_after = 3;
     drain_grace_s = 5.0;

@@ -34,26 +34,6 @@
     error — the crash drill in the test suite SIGKILLs a replica under
     load and demands zero dropped requests and byte-identical replies. *)
 
-(** {1 Environment knobs}
-
-    Validated fail-fast like every other [T1000_*] variable (the CLI
-    calls these in [validate_env] and exits 2 on a bad value). *)
-
-val env_replicas : unit -> int option
-(** [T1000_SUPERVISE_REPLICAS]: default replica count.
-    @raise T1000.Fault.Error with [Invalid_config] unless a positive
-      integer. *)
-
-val env_restarts : unit -> int option
-(** [T1000_SUPERVISE_RESTARTS]: default per-child restart budget.
-    @raise T1000.Fault.Error with [Invalid_config] unless a
-      non-negative integer. *)
-
-val env_health_ms : unit -> float option
-(** [T1000_SUPERVISE_HEALTH_MS]: default health-probe period.
-    @raise T1000.Fault.Error with [Invalid_config] unless a positive
-      number of milliseconds. *)
-
 type config = {
   exe : string;
       (** binary to exec for each child (argv becomes
@@ -75,9 +55,9 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Environment-driven defaults: [T1000_SUPERVISE_REPLICAS] (else 3),
-    [T1000_SUPERVISE_RESTARTS] (else 5), [T1000_SUPERVISE_HEALTH_MS]
-    (else 500 ms); sockets under a pid-stamped temp directory. *)
+(** 3 replicas, 5 restarts each, a 500 ms health period, sockets under
+    a pid-stamped temp directory.  [t1000 supervise] overrides them
+    from its flags. *)
 
 type t
 

@@ -1,11 +1,12 @@
 (* Tests for the selection-as-a-service layer (lib/serve): the wire
    codec and its strict parser, framed I/O edge cases (truncation,
    oversized lengths, garbage version bytes, mid-frame disconnects),
-   the bounded admission queue, the T1000_SERVE_* / T1000_BACKOFF_SCALE
-   environment knobs, request-level pool submission — and end-to-end
-   daemon sessions exercising the robustness envelope: shedding under
-   overload, wall-clock and cycle-budget deadlines, fault isolation,
-   chaos soak, and graceful drain. *)
+   the bounded admission queue, the T1000_BACKOFF_SCALE knob, the
+   bounds Server.create and Supervisor.create check, request-level
+   pool submission — and end-to-end daemon sessions exercising the
+   robustness envelope: shedding under overload, wall-clock and
+   cycle-budget deadlines, fault isolation, chaos soak, and graceful
+   drain. *)
 
 module Fault = T1000.Fault
 module Pool = T1000.Pool
@@ -244,57 +245,47 @@ let test_env_backoff_scale () =
   with_env [ ("T1000_BACKOFF_SCALE", "nan") ] (fun () ->
       invalid_config Pool.env_backoff_scale)
 
-let test_env_serve_knobs () =
-  with_env [ ("T1000_SERVE_QUEUE", "") ] (fun () ->
-      check_bool "queue unset" true (Server.env_queue_depth () = None));
-  with_env [ ("T1000_SERVE_QUEUE", "17") ] (fun () ->
-      check_bool "queue set" true (Server.env_queue_depth () = Some 17));
-  with_env [ ("T1000_SERVE_QUEUE", "0") ] (fun () ->
-      invalid_config Server.env_queue_depth);
-  with_env [ ("T1000_SERVE_QUEUE", "-3") ] (fun () ->
-      invalid_config Server.env_queue_depth);
-  with_env [ ("T1000_SERVE_QUEUE", "many") ] (fun () ->
-      invalid_config Server.env_queue_depth);
-  with_env [ ("T1000_SERVE_DEADLINE_MS", "250.5") ] (fun () ->
-      check_bool "deadline set" true (Server.env_deadline_ms () = Some 250.5));
-  with_env [ ("T1000_SERVE_DEADLINE_MS", "0") ] (fun () ->
-      invalid_config Server.env_deadline_ms);
-  with_env [ ("T1000_SERVE_DEADLINE_MS", "inf") ] (fun () ->
-      invalid_config Server.env_deadline_ms);
-  with_env [ ("T1000_SERVE_ADDR", "unix:/tmp/x.sock") ] (fun () ->
-      check_bool "addr set" true
-        (Server.env_addr () = Some (Server.Unix_sock "/tmp/x.sock")));
-  with_env [ ("T1000_SERVE_ADDR", "carrier-pigeon:coop") ] (fun () ->
-      invalid_config Server.env_addr)
+(* ---------- config validation ---------- *)
 
-let test_env_supervise_knobs () =
-  let module Sup = T1000_serve.Supervisor in
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "") ] (fun () ->
-      check_bool "replicas unset" true (Sup.env_replicas () = None));
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "4") ] (fun () ->
-      check_bool "replicas set" true (Sup.env_replicas () = Some 4));
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "0") ] (fun () ->
-      invalid_config Sup.env_replicas);
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "armada") ] (fun () ->
-      invalid_config Sup.env_replicas);
-  with_env [ ("T1000_SUPERVISE_RESTARTS", "0") ] (fun () ->
-      check_bool "zero restarts allowed" true (Sup.env_restarts () = Some 0));
-  with_env [ ("T1000_SUPERVISE_RESTARTS", "-1") ] (fun () ->
-      invalid_config Sup.env_restarts);
-  with_env [ ("T1000_SUPERVISE_HEALTH_MS", "250") ] (fun () ->
-      check_bool "health period set" true (Sup.env_health_ms () = Some 250.0));
-  with_env [ ("T1000_SUPERVISE_HEALTH_MS", "0") ] (fun () ->
-      invalid_config Sup.env_health_ms);
-  with_env [ ("T1000_SUPERVISE_HEALTH_MS", "soon") ] (fun () ->
-      invalid_config Sup.env_health_ms);
-  (* Config-level validation mirrors the env checks. *)
-  let base = Sup.default_config () in
-  let rejects what cfg =
-    check_bool what true
-      (match Sup.create cfg with
-      | exception Fault.Error (Fault.Invalid_config _) -> true
-      | _ -> false)
+let fresh_sock =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "t1000-test-%d-%d.sock" (Unix.getpid ()) !n)
+
+(* [create] is the one check of a config's values: the CLI's flags
+   reach it unchecked.  Each bad field is rejected before a socket is
+   bound. *)
+let rejects create what cfg =
+  check_bool what true
+    (match create cfg with
+    | exception Fault.Error (Fault.Invalid_config _) -> true
+    | _ -> false)
+
+let test_server_create_rejects () =
+  let path = fresh_sock () in
+  let base =
+    { (Server.default_config ()) with Server.addrs = [ Server.Unix_sock path ] }
   in
+  let rejects = rejects Server.create in
+  rejects "no address" { base with Server.addrs = [] };
+  rejects "queue_depth = 0" { base with Server.queue_depth = 0 };
+  rejects "njobs = 0" { base with Server.njobs = 0 };
+  List.iter
+    (fun d ->
+      rejects
+        (Printf.sprintf "default deadline %g" d)
+        { base with Server.default_deadline_ms = Some d })
+    [ 0.0; Float.infinity; Float.nan ];
+  rejects "max_steps = 0" { base with Server.max_steps = 0 };
+  check_bool "nothing bound" false (Sys.file_exists path)
+
+let test_supervisor_create_rejects () =
+  let module Sup = T1000_serve.Supervisor in
+  let base = Sup.default_config () in
+  let rejects = rejects Sup.create in
   rejects "replicas < 1" { base with Sup.replicas = 0 };
   rejects "negative budget" { base with Sup.restarts = -1 };
   rejects "non-positive period" { base with Sup.health_period_s = 0.0 };
@@ -519,14 +510,6 @@ let test_memo_find_opt () =
   check_bool "c kept" true (Memo.find_opt m "c" = Some 1)
 
 (* ---------- end-to-end daemon sessions ---------- *)
-
-let fresh_sock =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "t1000-test-%d-%d.sock" (Unix.getpid ()) !n)
 
 let with_server ?(queue = 8) ?(njobs = 2) ?default_deadline_ms
     ?(max_steps = 10_000_000) f =
@@ -981,11 +964,21 @@ let test_e2e_health () =
   check_bool "matches in-process snapshot" true
     ((Server.health srv).Protocol.queue_cap = 8)
 
-let wait_health srv what ok =
+(* Poll until [ok] holds.  [lost] names a request whose completion
+   would make [ok] unreachable: once it is done, the poll fails at once
+   with a "precondition lost" message, not with a timeout. *)
+let wait_health ?lost srv what ok =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec poll () =
     let h = Server.health srv in
     if not (ok h) then begin
+      Option.iter
+        (fun (request, done_) ->
+          if Atomic.get done_ then
+            Alcotest.failf
+              "precondition lost: %s finished before the test saw %s"
+              request what)
+        lost;
       if Unix.gettimeofday () > deadline then
         Alcotest.failf "never saw %s (inflight %d, queue %d)" what
           h.Protocol.inflight h.Protocol.queue_len;
@@ -1029,7 +1022,9 @@ let test_e2e_health_bypasses_queue () =
    worker busy and the one queue slot taken, a warm key still comes back
    at once, not shed as Overloaded. *)
 let test_e2e_cached_bypasses_queue () =
-  with_server ~queue:1 ~njobs:1 @@ fun srv addr ->
+  (* The first slow request runs 2 * 128 * 2^16 instructions (about 2 s
+     on a 2-vCPU host), more than the default step cap. *)
+  with_server ~queue:1 ~njobs:1 ~max_steps:20_000_000 @@ fun srv addr ->
   let warm = sel ~kernel:(tiny_asm ~salt:"bypass" ()) () in
   let c = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -1037,10 +1032,12 @@ let test_e2e_cached_bypasses_queue () =
   | `Outcome o -> check_bool "first request is cold" false o.Protocol.cached
   | _ -> Alcotest.fail "expected an outcome");
   let first_done = Atomic.make false and second_done = Atomic.make false in
-  (* Four times the default loop: the worker must stay busy while the
-     second request is retried into the queue. *)
-  let first = slow_request ~loops:32 addr "bypass1" first_done in
-  wait_health srv "the first slow request admitted" (fun h ->
+  (* Sixteen times the default loop: the worker must stay busy, through
+     any scheduler stall, while the second request is retried into the
+     queue and the warm key is answered. *)
+  let first = slow_request ~loops:128 addr "bypass1" first_done in
+  let lost = ("the first slow request", first_done) in
+  wait_health ~lost srv "the first slow request admitted" (fun h ->
       h.Protocol.inflight = 1);
   (* The second is shed if it reaches the queue before the worker has
      popped the first; it then tries again. *)
@@ -1060,7 +1057,8 @@ let test_e2e_cached_bypasses_queue () =
         go ())
       ()
   in
-  wait_health srv "both slow requests in flight, the queue full" (fun h ->
+  wait_health ~lost srv "both slow requests in flight, the queue full"
+    (fun h ->
       h.Protocol.inflight = 2 && h.Protocol.queue_len = 1);
   let c3 = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c3) (fun () ->
@@ -1566,9 +1564,13 @@ let () =
       ( "env",
         [
           Alcotest.test_case "backoff scale" `Quick test_env_backoff_scale;
-          Alcotest.test_case "serve knobs" `Quick test_env_serve_knobs;
-          Alcotest.test_case "supervise knobs" `Quick test_env_supervise_knobs;
           Alcotest.test_case "parse_addr" `Quick test_parse_addr;
+        ] );
+      ( "create",
+        [
+          Alcotest.test_case "serve rejects" `Quick test_server_create_rejects;
+          Alcotest.test_case "supervise rejects" `Quick
+            test_supervisor_create_rejects;
         ] );
       ( "pool",
         [

@@ -32,7 +32,7 @@ let test_registry () =
     ]
     Registry.names
 
-(* The T1000_WORKLOADS parser the CLI and bench/main.exe share. *)
+(* The T1000_WORKLOADS parser every CLI command shares. *)
 let test_of_spec () =
   let check msg want spec =
     Alcotest.(check (result (list string) string))
