@@ -1,21 +1,21 @@
 (* The command-line terms every t1000_cli command shares.
 
-   [env] is the one term for the process-wide settings.  Each of its
-   flags except --trace is the twin of a T1000_* variable: the flag is
+   [env] is the one term for the host settings.  Each of its flags
+   except --trace is the twin of a T1000_* variable: the flag is
    exported with putenv and then re-read by that variable's own
    validating reader, so a value means the same, and fails the same way
    (exit 2), whether it came from the flag or the environment.  The
-   library reads the variables where it needs them (Runner.setup,
-   Pool), in this process, in its worker domains and in the daemons
-   `supervise` starts.
+   pool reads the variables in this process, in its worker domains and
+   in the daemons `supervise` starts.
 
-   [setup] is the evaluation setup (-m/-p/-r), built after [env] has
-   applied --bpred and --selfcheck so Runner.setup sees them.
+   [machine] yields the values of --bpred (a bad one exits 2) and
+   --selfcheck, which reach the library as arguments.  [setup] is the
+   evaluation setup (-m/-p/-r) on that machine.
 
    [daemon] is the serve tier's Server.config (--queue, --deadline,
-   --max-steps), for `serve` and `supervise` only.  Its flags have no
-   environment twin: the values go straight into the record, and
-   Server.validate is their one check. *)
+   --max-steps and the machine), for `serve` and `supervise` only.  Its
+   flags have no environment twin: the values go straight into the
+   record, and Server.validate is their one check. *)
 
 open Cmdliner
 
@@ -33,10 +33,10 @@ let with_faults f =
 
 (* ---- the env-twin term ---- *)
 
-let twin ~flag var ~read to_string value =
+let twin ~flag var ~read value =
   Option.iter
     (fun v ->
-      Unix.putenv var (to_string v);
+      Unix.putenv var (string_of_int v);
       try ignore (read ()) with
       | Invalid_argument msg | T1000.Fault.Error (T1000.Fault.Invalid_config msg)
         ->
@@ -52,9 +52,9 @@ let bpred =
         ~doc:
           "Branch predictor for the speculative front end: 'perfect' \
            (default: exact trace-driven fetch), 'static', \
-           'bimodal[:BITS]' or 'gshare[:BITS]' (also: \
-           $(b,T1000_BPRED)).  Non-perfect predictors fetch down the \
-           predicted path and squash wrong-path work on resolution.")
+           'bimodal[:BITS]' or 'gshare[:BITS]'.  Non-perfect predictors \
+           fetch down the predicted path and squash wrong-path work on \
+           resolution.")
 
 let jobs =
   Arg.(
@@ -73,7 +73,7 @@ let selfcheck =
         ~doc:
           "Audit the simulator's RUU/PFU-file invariants at every commit \
            and cross-validate architectural results against the \
-           functional interpreter (also: $(b,T1000_SELFCHECK=1)).")
+           functional interpreter.")
 
 let trace =
   Arg.(
@@ -106,16 +106,27 @@ let setup_trace = function
           T1000.Obs.Tracer.write_chrome path;
           Format.eprintf "t1000_cli: trace written to %s@." path)
 
-let apply bpred jobs selfcheck trace retries =
-  twin ~flag:"--bpred" "T1000_BPRED" ~read:T1000_bpred.Predictor.env_spec Fun.id
-    bpred;
-  twin ~flag:"-j" "T1000_NJOBS" ~read:T1000.Pool.default_njobs string_of_int jobs;
-  if selfcheck then Unix.putenv "T1000_SELFCHECK" "1";
-  twin ~flag:"--retries" "T1000_RETRIES" ~read:T1000.Pool.env_retries
-    string_of_int retries;
+let apply jobs trace retries =
+  twin ~flag:"-j" "T1000_NJOBS" ~read:T1000.Pool.default_njobs jobs;
+  twin ~flag:"--retries" "T1000_RETRIES" ~read:T1000.Pool.env_retries retries;
   setup_trace trace
 
-let env = Term.(const apply $ bpred $ jobs $ selfcheck $ trace $ retries)
+let env = Term.(const apply $ jobs $ trace $ retries)
+
+(* ---- the machine term ---- *)
+
+type machine = { bpred : T1000_bpred.Predictor.spec; selfcheck : bool }
+
+let machine =
+  let make bpred selfcheck =
+    let module Bp = T1000_bpred.Predictor in
+    match Option.fold bpred ~none:(Ok Bp.Perfect) ~some:Bp.spec_of_string with
+    | Ok bpred -> { bpred; selfcheck }
+    | Error msg ->
+        Format.eprintf "t1000_cli: --bpred: %s@." msg;
+        exit 2
+  in
+  Term.(const make $ bpred $ selfcheck)
 
 (* ---- the setup term ---- *)
 
@@ -157,13 +168,14 @@ let penalty =
     & info [ "r"; "penalty" ] ~docv:"CYCLES"
         ~doc:"PFU reconfiguration penalty in cycles.")
 
-(* [Runner.setup] validates the fields (exit 2 on a bad one) and reads
-   T1000_BPRED and T1000_SELFCHECK, which [env] has just set. *)
+(* [Runner.setup] validates the fields (exit 2 on a bad one). *)
 let setup_with method_ =
   Term.(
-    const (fun () method_ n_pfus penalty ->
-        with_faults (fun () -> T1000.Runner.setup ~n_pfus ~penalty method_))
-    $ env $ method_ $ pfus $ penalty)
+    const (fun () m method_ n_pfus penalty ->
+        with_faults (fun () ->
+            T1000.Runner.setup ~n_pfus ~penalty ~bpred:m.bpred
+              ~selfcheck:m.selfcheck method_))
+    $ env $ machine $ method_ $ pfus $ penalty)
 
 let setup = setup_with method_
 
@@ -200,7 +212,7 @@ let max_steps =
 (* Built after [env] has applied -j, which the worker count reads. *)
 let daemon =
   Term.(
-    const (fun () queue deadline max_steps ->
+    const (fun () m queue deadline max_steps ->
         let base = T1000_serve.Server.default_config () in
         {
           base with
@@ -208,8 +220,10 @@ let daemon =
           default_deadline_ms =
             (if deadline = None then base.default_deadline_ms else deadline);
           max_steps = Option.value max_steps ~default:base.max_steps;
+          bpred = m.bpred;
+          selfcheck = m.selfcheck;
         })
-    $ env $ queue $ deadline $ max_steps)
+    $ env $ machine $ queue $ deadline $ max_steps)
 
 (* ---- workloads ---- *)
 
@@ -224,6 +238,9 @@ let workload =
     & pos 0 (some (enum by_name)) None
     & info [] ~docv:"WORKLOAD" ~doc:"Benchmark name (see $(b,list)).")
 
-(* The suite the experiment engine runs on: all workloads, or the
+(* The ctx the batch commands run on: all workloads, or the
    T1000_WORKLOADS subset, which the CLI has already validated. *)
-let suite_workloads () = Result.get_ok (T1000_workloads.Registry.of_env ())
+let suite_ctx ?bpred selfcheck =
+  T1000.Experiment.create_ctx
+    ~workloads:(Result.get_ok (T1000_workloads.Registry.of_env ()))
+    ?bpred ~selfcheck ()

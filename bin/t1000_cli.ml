@@ -16,9 +16,6 @@ open Cmdliner
 let validate_env () =
   try
     ignore (T1000.Pool.default_njobs ());
-    ignore (T1000_ooo.Sim.env_max_cycles ());
-    ignore (T1000.Fault.getenv_bool "T1000_SELFCHECK");
-    ignore (T1000_bpred.Predictor.env_spec ());
     ignore (T1000.Pool.env_chaos ());
     ignore (T1000.Pool.env_chaos_seed ());
     ignore (T1000.Pool.env_retries ());
@@ -64,13 +61,16 @@ let open_journal ~resume ~run =
         (T1000.Checkpoint.corrupt j);
       Some j
 
-(* The one-shot commands evaluate through an Experiment ctx, the path
-   the figure drivers and the serve daemon take. *)
-let one_shot w = T1000.Experiment.create_ctx ~workloads:[ w ] ()
+(* The one-shot commands evaluate through an Experiment ctx on the
+   machine of [s], the path the figure drivers and the daemon take. *)
+let one_shot ?(s = T1000.Runner.setup T1000.Runner.Baseline) w =
+  T1000.Experiment.create_ctx ~workloads:[ w ]
+    ~bpred:s.T1000.Runner.machine.T1000_ooo.Mconfig.bpred
+    ~selfcheck:s.T1000.Runner.selfcheck ()
 
 (* The no-PFU baseline on the setup's own machine, then the setup. *)
 let evaluate w s =
-  let ctx = one_shot w in
+  let ctx = one_shot ~s w in
   let baseline =
     T1000.Experiment.baseline_for ctx w s.T1000.Runner.machine
   in
@@ -123,7 +123,7 @@ let profile_cmd =
 let mine_cmd =
   let run w s save =
     Opts.with_faults @@ fun () ->
-    let r = T1000.Experiment.run_setup (one_shot w) w s in
+    let r = T1000.Experiment.run_setup (one_shot ~s w) w s in
     Format.printf "%a@." T1000_select.Extinstr.pp r.T1000.Runner.table;
     List.iter
       (fun e ->
@@ -245,7 +245,7 @@ let dot_cmd =
 (* ---- experiment ---- *)
 
 let experiment_cmd =
-  let run () resume ids =
+  let run () machine resume ids =
     (match
        List.filter (fun id -> not (List.mem id T1000.Report.artifact_ids)) ids
      with
@@ -255,9 +255,7 @@ let experiment_cmd =
           (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
           (String.concat " " T1000.Report.artifact_ids);
         exit 2);
-    let ctx =
-      T1000.Experiment.create_ctx ~workloads:(Opts.suite_workloads ()) ()
-    in
+    let ctx = Opts.suite_ctx ~bpred:machine.Opts.bpred machine.selfcheck in
     let faults = ref [] in
     let dispatch id =
       (* one journal file per experiment id *)
@@ -281,12 +279,12 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables/figures.")
-    Term.(const run $ Opts.env $ resume_arg $ ids)
+    Term.(const run $ Opts.env $ Opts.machine $ resume_arg $ ids)
 
 (* ---- dse ---- *)
 
 let dse_cmd =
-  let run () resume budget axes full json =
+  let run () selfcheck resume budget axes full json =
     if budget < 1 then begin
       Format.eprintf "t1000_cli: --budget must be >= 1, got %d@." budget;
       exit 2
@@ -303,9 +301,7 @@ let dse_cmd =
     in
     Opts.with_faults @@ fun () ->
     let journal = open_journal ~resume ~run:"dse" in
-    let ctx =
-      T1000.Experiment.create_ctx ~workloads:(Opts.suite_workloads ()) ()
-    in
+    let ctx = Opts.suite_ctx selfcheck in
     let r =
       T1000_dse.Engine.explore ?journal ~budget
         ~sample:(if full then `Full else `Coarse)
@@ -371,7 +367,9 @@ let dse_cmd =
           (geomean speedup, LUT area, PFU count) over the PFU-count x \
           penalty x LUT-budget x replacement x gain x machine-width space, \
           with dominance pruning, checkpoint/resume and worker-pool fan-out.")
-    Term.(const run $ Opts.env $ resume_arg $ budget $ axes $ full $ json)
+    Term.(
+      const run $ Opts.env $ Opts.selfcheck $ resume_arg $ budget $ axes $ full
+      $ json)
 
 (* ---- stats ---- *)
 
@@ -608,7 +606,9 @@ let supervise_cmd =
           [
             "--queue"; string_of_int daemon.queue_depth;
             "--max-steps"; string_of_int daemon.max_steps;
+            "--bpred"; T1000_bpred.Predictor.spec_to_string daemon.bpred;
           ]
+          @ (if daemon.selfcheck then [ "--selfcheck" ] else [])
           @ Option.fold daemon.default_deadline_ms ~none:[] ~some:(fun ms ->
                 [ "--deadline"; Printf.sprintf "%.17g" ms ]);
       }

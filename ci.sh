@@ -121,8 +121,9 @@ diff "$CLEAN_OUT" "$RESUMED_OUT" || {
 # Section 5k); s52's reconfiguration stalls are where skipping matters
 # most.  The audit must pass and must not change a byte.
 AUDITED_OUT="$CKPT_DIR/audited.out"
-T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 T1000_SELFCHECK=1 \
-  timeout 900 dune exec bin/t1000_cli.exe -- experiment s52 > "$AUDITED_OUT"
+T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment s52 --selfcheck \
+  > "$AUDITED_OUT"
 diff "$CLEAN_OUT" "$AUDITED_OUT" || {
   echo "self-checked s52 differs from the skipping run" >&2
   exit 1
@@ -248,8 +249,8 @@ grep -q "gsh2k/sel" "$CKPT_DIR/bpred_a9.out" || {
 # The same sweep under self-check audits the event-driven issue
 # scheduler against the window-scan readiness predicate every cycle,
 # on squash-heavy runs; the audit must pass and must not change a byte.
-T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 T1000_SELFCHECK=1 \
-  timeout 900 dune exec bin/t1000_cli.exe -- experiment a9 \
+T1000_WORKLOADS=unepic,g721_dec T1000_NJOBS=2 \
+  timeout 900 dune exec bin/t1000_cli.exe -- experiment a9 --selfcheck \
   > "$CKPT_DIR/bpred_a9_audited.out"
 diff "$CKPT_DIR/bpred_a9.out" "$CKPT_DIR/bpred_a9_audited.out" || {
   echo "self-checked a9 differs from the unaudited run" >&2
@@ -259,8 +260,8 @@ diff "$CKPT_DIR/bpred_a9.out" "$CKPT_DIR/bpred_a9_audited.out" || {
 echo "== bpred: experiment speedups are against a same-predictor baseline =="
 # Under --bpred the figure drivers compare each PFU run with a no-PFU
 # baseline on the same speculative front end: f6's g721_dec 2-PFU cell
-# must equal the speedup `run` reports for that setup (flag ->
-# T1000_BPRED -> Runner.setup, the path README advertises).
+# must equal the speedup `run` reports for that setup (flag -> ctx ->
+# Runner.setup, the path README advertises).
 F6_CELL=$(T1000_WORKLOADS=g721_dec \
   timeout 900 dune exec bin/t1000_cli.exe -- \
   experiment f6 -j 1 --bpred gshare@11 | awk '$1 == "g721_dec" && $2 == "1.000" { print $3 }')
@@ -323,9 +324,9 @@ DSE_GAIN_AXES="pfus=1,2:penalty=0,100:lut=75,150:repl=lru:gain=0.001,0.005,0.02:
 T1000_WORKLOADS=unepic,g721_dec \
   timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_GAIN_AXES" --budget 24 \
   > "$CKPT_DIR/dse_gain.out"
-T1000_WORKLOADS=unepic,g721_dec T1000_SELFCHECK=1 \
+T1000_WORKLOADS=unepic,g721_dec \
   timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_GAIN_AXES" --budget 24 \
-  > "$CKPT_DIR/dse_gain_audited.out"
+  --selfcheck > "$CKPT_DIR/dse_gain_audited.out"
 diff "$CKPT_DIR/dse_gain.out" "$CKPT_DIR/dse_gain_audited.out" || {
   echo "self-checked dse frontier differs from the unaudited run" >&2
   exit 1
@@ -342,9 +343,9 @@ DSE_PFU_AXES="pfus=1,2,4,8:penalty=0,100:lut=150:repl=lru,fifo,rand:gain=0.005:w
 T1000_WORKLOADS=unepic T1000_METRICS=1 \
   timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_PFU_AXES" --budget 24 \
   > "$CKPT_DIR/dse_pfu.out" 2> "$CKPT_DIR/dse_pfu.err"
-T1000_WORKLOADS=unepic T1000_SELFCHECK=1 \
+T1000_WORKLOADS=unepic \
   timeout 900 dune exec bin/t1000_cli.exe -- dse --axes "$DSE_PFU_AXES" --budget 24 \
-  > "$CKPT_DIR/dse_pfu_audited.out"
+  --selfcheck > "$CKPT_DIR/dse_pfu_audited.out"
 diff "$CKPT_DIR/dse_pfu.out" "$CKPT_DIR/dse_pfu_audited.out" || {
   echo "self-checked PFU-axis dse frontier differs from the unaudited run" >&2
   exit 1
@@ -472,12 +473,9 @@ loop:
     halt
 EOF
 
-# The daemon runs under a generous T1000_MAX_CYCLES, which only caps
-# cycle budgets: the --max-cycles 1 request must still time out.
 for pass in 1 2; do
   SOCK="$SERVE_DIR/pass$pass.sock"
-  T1000_MAX_CYCLES=1000000000 "$SERVE_CLI" serve --socket "$SOCK" -j 2 \
-    > "$SERVE_DIR/daemon$pass.log" 2>&1 &
+  "$SERVE_CLI" serve --socket "$SOCK" -j 2 > "$SERVE_DIR/daemon$pass.log" 2>&1 &
   SERVE_PID=$!
   serve_wait "$SOCK" "$SERVE_PID"
   {

@@ -66,15 +66,6 @@ let spec_of_string s =
             bimodal[:BITS] or gshare[:BITS])"
            k)
 
-let env_spec () =
-  match Sys.getenv_opt "T1000_BPRED" with
-  | None -> Perfect
-  | Some s when String.trim s = "" -> Perfect
-  | Some s -> (
-      match spec_of_string s with
-      | Ok sp -> sp
-      | Error e -> invalid_arg (Printf.sprintf "T1000_BPRED: %s" e))
-
 let is_perfect = function Perfect -> true | _ -> false
 
 type t = {

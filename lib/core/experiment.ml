@@ -25,22 +25,30 @@ let sel_key (s : Runner.setup) =
 type ctx = {
   suite : Workload.t list;
   max_steps : int option;
+  bpred : T1000_bpred.Predictor.spec;
+  selfcheck : bool;
   analyses : (string, Runner.analysis) Memo.t;
   runs : (string * string, T1000_ooo.Stats.t) Memo.t;
   tables : (string * sel_key, T1000_select.Extinstr.t) Memo.t;
 }
 
-let create_ctx ?(workloads = Registry.all) ?max_steps () =
+let create_ctx ?(workloads = Registry.all) ?max_steps
+    ?(bpred = T1000_bpred.Predictor.Perfect) ?(selfcheck = false) () =
   let cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap in
   {
     suite = workloads;
     max_steps;
+    bpred;
+    selfcheck;
     analyses = Memo.create ~name:"analysis" ~cap 8;
     runs = Memo.create ~name:"run" ~cap 64;
     tables = Memo.create ~name:"tables" ~cap 32;
   }
 
 let workloads ctx = ctx.suite
+
+let setup ctx ?n_pfus ?penalty ?(bpred = ctx.bpred) method_ =
+  Runner.setup ?n_pfus ?penalty ~bpred ~selfcheck:ctx.selfcheck method_
 
 let memo_stats ctx =
   let stat name m = (name, Memo.length m, Memo.evictions m) in
@@ -78,10 +86,10 @@ let run_setup ctx (w : Workload.t) s =
        (fun () -> Runner.simulate p))
 
 let baseline_for ctx w machine =
-  run_setup ctx w { (Runner.setup Runner.Baseline) with Runner.machine }
+  run_setup ctx w { (setup ctx Runner.Baseline) with Runner.machine }
 
 (* Like with like: against the no-PFU baseline on the setup's own
-   machine, so a speculative front end (T1000_BPRED, a DSE width axis)
+   machine, so a speculative front end (--bpred, a DSE width axis)
    is compared with a baseline that speculates the same way. *)
 let speedup_of ctx w s =
   let r = run_setup ctx w s in
@@ -114,8 +122,15 @@ let fault_inject_target () =
    worker count and on resume. *)
 let fan_out ?journal ?(on_cached = ignore) ~id ~label ctx points eval =
   let inject = fault_inject_target () in
+  (* The ctx's predictor is in the key, so a journal never serves one
+     predictor's values to another; [Perfect] adds nothing. *)
+  let bpred =
+    match ctx.bpred with
+    | T1000_bpred.Predictor.Perfect -> ""
+    | b -> "/" ^ T1000_bpred.Predictor.spec_to_string b
+  in
   let key ((w : Workload.t), p) =
-    Printf.sprintf "%s/%s/%s" id w.Workload.name (label p)
+    Printf.sprintf "%s/%s/%s%s" id w.Workload.name (label p) bpred
   in
   let eval_task (((w : Workload.t), p) as t) =
     (match inject with
@@ -219,8 +234,8 @@ type f2_row = {
 let figure2_result ?journal ctx =
   let points =
     [
-      ("greedy-unlimited", Runner.setup ~n_pfus:None ~penalty:0 Runner.Greedy);
-      ("greedy-2pfu", Runner.setup ~n_pfus:(Some 2) ~penalty:10 Runner.Greedy);
+      ("greedy-unlimited", setup ctx ~n_pfus:None ~penalty:0 Runner.Greedy);
+      ("greedy-2pfu", setup ctx ~n_pfus:(Some 2) ~penalty:10 Runner.Greedy);
     ]
   in
   let rows, faults =
@@ -260,7 +275,7 @@ let table41_result ?journal ctx =
       [ ("greedy", ()) ]
       (fun (w : Workload.t) (_, ()) ->
         let table =
-          selection_table ctx w (Runner.setup ~n_pfus:None Runner.Greedy)
+          selection_table ctx w (setup ctx ~n_pfus:None Runner.Greedy)
         in
         let entries = T1000_select.Extinstr.entries table in
         let sizes =
@@ -301,7 +316,7 @@ type f6_row = {
 }
 
 let figure6_result ?journal ctx =
-  let sel n = Runner.setup ~n_pfus:n ~penalty:10 Runner.Selective in
+  let sel n = setup ctx ~n_pfus:n ~penalty:10 Runner.Selective in
   let points =
     [ ("2", sel (Some 2)); ("4", sel (Some 4)); ("unlimited", sel None) ]
   in
@@ -340,9 +355,9 @@ let penalty_sweep_result ?journal ?(penalties = [ 10; 50; 100; 250; 500 ]) ctx =
       (fun w p ->
         ( p,
           speedup_of ctx w
-            (Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Selective),
+            (setup ctx ~n_pfus:(Some 2) ~penalty:p Runner.Selective),
           speedup_of ctx w
-            (Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Greedy) ))
+            (setup ctx ~n_pfus:(Some 2) ~penalty:p Runner.Greedy) ))
   in
   {
     rows =
@@ -369,7 +384,7 @@ let figure7_result ?journal ctx =
       [ ("costs", ()) ]
       (fun (w : Workload.t) (_, ()) ->
         let r =
-          run_setup ctx w (Runner.setup ~n_pfus:(Some 4) Runner.Selective)
+          run_setup ctx w (setup ctx ~n_pfus:(Some 4) Runner.Selective)
         in
         List.map
           (fun e -> e.T1000_select.Extinstr.lut_cost)
@@ -426,7 +441,7 @@ let pfu_count_sweep_result ?journal ?(counts = [ 1; 2; 3; 4; 6; 8 ]) ctx =
   sweep_partial ?journal ~id:"a1" ctx
     (List.map (fun n -> (string_of_int n, n)) counts)
     (fun w n ->
-      speedup_of ctx w (Runner.setup ~n_pfus:(Some n) Runner.Selective))
+      speedup_of ctx w (setup ctx ~n_pfus:(Some n) Runner.Selective))
 
 let pfu_count_sweep ?counts ctx = strict (pfu_count_sweep_result ?counts ctx)
 
@@ -435,7 +450,7 @@ let width_threshold_sweep_result ?journal ?(widths = [ 8; 12; 18; 24; 32 ]) ctx
   sweep_partial ?journal ~id:"a2" ctx
     (List.map (fun n -> (string_of_int n, n)) widths)
     (fun w width ->
-      let s = Runner.setup ~n_pfus:None ~penalty:0 Runner.Greedy in
+      let s = setup ctx ~n_pfus:None ~penalty:0 Runner.Greedy in
       let s =
         {
           s with
@@ -453,7 +468,7 @@ let gain_threshold_sweep_result ?journal ?(thresholds = [ 0.001; 0.005; 0.02 ])
   sweep_partial ?journal ~id:"a3" ctx
     (List.map (fun th -> (Printf.sprintf "%.3f" th, th)) thresholds)
     (fun w th ->
-      let s = Runner.setup ~n_pfus:(Some 2) Runner.Selective in
+      let s = setup ctx ~n_pfus:(Some 2) Runner.Selective in
       let s = { s with Runner.gain_threshold = th } in
       speedup_of ctx w s)
 
@@ -469,7 +484,7 @@ let replacement_sweep_result ?journal ctx =
     ]
   in
   sweep_partial ?journal ~id:"a4" ctx policies (fun w pol ->
-      let s = Runner.setup ~n_pfus:(Some 2) Runner.Selective in
+      let s = setup ctx ~n_pfus:(Some 2) Runner.Selective in
       let s = { s with Runner.replacement = pol } in
       speedup_of ctx w s)
 
@@ -506,7 +521,7 @@ let machine_sweep_result ?journal ctx =
   sweep_partial ?journal ~id:"a5" ctx machines (fun w m ->
       speedup_of ctx w
         {
-          (Runner.setup ~n_pfus:(Some 4) Runner.Selective) with
+          (setup ctx ~n_pfus:(Some 4) Runner.Selective) with
           Runner.machine = m;
         })
 
@@ -515,7 +530,7 @@ let machine_sweep ctx = strict (machine_sweep_result ctx)
 let latency_model_sweep_result ?journal ctx =
   let models = [ ("1-cycle", `Single_cycle); ("lut-levels", `Lut_levels) ] in
   sweep_partial ?journal ~id:"a6" ctx models (fun w m ->
-      let s = Runner.setup ~n_pfus:(Some 4) Runner.Selective in
+      let s = setup ctx ~n_pfus:(Some 4) Runner.Selective in
       let s = { s with Runner.ext_timing = m } in
       speedup_of ctx w s)
 
@@ -526,15 +541,8 @@ let branch_predictor_sweep_result ?journal ctx =
     T1000_bpred.Predictor.
       [ ("perfect", Perfect); ("bimodal-2k", Bimodal 11 (* 2048 counters *)) ]
   in
-  sweep_partial ?journal ~id:"a7" ctx preds (fun w bp ->
-      let machine = { Mconfig.default with Mconfig.bpred = bp } in
-      let sel_setup =
-        {
-          (Runner.setup ~n_pfus:(Some 4) Runner.Selective) with
-          Runner.machine;
-        }
-      in
-      speedup_of ctx w sel_setup)
+  sweep_partial ?journal ~id:"a7" ctx preds (fun w bpred ->
+      speedup_of ctx w (setup ctx ~n_pfus:(Some 4) ~bpred Runner.Selective))
 
 let branch_predictor_sweep ctx = strict (branch_predictor_sweep_result ctx)
 
@@ -548,7 +556,7 @@ let prefetch_sweep_result ?journal ?(penalties = [ 100; 500 ]) ctx =
       penalties
   in
   sweep_partial ?journal ~id:"a8" ctx points (fun w (pen, pf) ->
-      let s = Runner.setup ~n_pfus:(Some 2) ~penalty:pen Runner.Selective in
+      let s = setup ctx ~n_pfus:(Some 2) ~penalty:pen Runner.Selective in
       let s = { s with Runner.config_prefetch = pf } in
       speedup_of ctx w s)
 
@@ -572,15 +580,13 @@ let speculation_sweep_result ?journal ctx =
           [ ("gr", Runner.Greedy); ("sel", Runner.Selective) ])
       preds
   in
-  sweep_partial ?journal ~id:"a9" ctx points (fun w (bp, m) ->
+  sweep_partial ?journal ~id:"a9" ctx points (fun w (bpred, m) ->
       (* Like A7, compare like with like: the no-PFU baseline runs
          under the same front-end predictor, so each column isolates
          what speculation does to the PFU gain rather than to the raw
          cycle count.  2 PFUs, not 4: with replacement pressure the
          greedy tables also pay for wrong-path reconfigurations, which
          is exactly the interaction this sweep is after. *)
-      let machine = { Mconfig.default with Mconfig.bpred = bp } in
-      speedup_of ctx w
-        { (Runner.setup ~n_pfus:(Some 2) m) with Runner.machine })
+      speedup_of ctx w (setup ctx ~n_pfus:(Some 2) ~bpred m))
 
 let speculation_sweep ctx = strict (speculation_sweep_result ctx)

@@ -22,15 +22,25 @@ open T1000_workloads
 type ctx
 
 val create_ctx :
-  ?workloads:Workload.t list -> ?max_steps:int -> unit -> ctx
+  ?workloads:Workload.t list -> ?max_steps:int ->
+  ?bpred:T1000_bpred.Predictor.spec -> ?selfcheck:bool -> unit -> ctx
 (** Defaults to the full 8-benchmark suite ({!Registry.all}).
     [?max_steps] caps every profiling run ({!Runner.analyze}); the
     serve daemon sets it so a non-halting submitted kernel fails
-    instead of wedging a worker.
+    instead of wedging a worker.  Every driver below builds its setups
+    on [?bpred] (default [Perfect]) and [?selfcheck] (default [false])
+    ({!setup}), except where it picks its own (A5's widths, A7's and
+    A9's predictors).
     @raise Fault.Error with [Invalid_config] if [T1000_MEMO_CAP] is
       set but not a positive integer. *)
 
 val workloads : ctx -> Workload.t list
+
+val setup :
+  ctx -> ?n_pfus:int option -> ?penalty:int ->
+  ?bpred:T1000_bpred.Predictor.spec -> Runner.method_ -> Runner.setup
+(** {!Runner.setup} with the ctx's self-check flag and, unless [?bpred]
+    overrides it, the ctx's predictor. *)
 
 val memo_stats : ctx -> (string * int * int) list
 (** [(name, cached entries, cumulative evictions)] of the ctx's
@@ -43,7 +53,7 @@ val baseline_for :
 (** The workload's no-PFU baseline on an arbitrary base machine:
     {!run_setup} of the [Baseline] setup on that machine, so it is
     cached per (workload, machine) — what lets every configured point
-    (a predictor under [T1000_BPRED], the A5 width sweep, the
+    (a predictor under the ctx's [?bpred], the A5 width sweep, the
     {e lib/dse} width axis) be compared against a baseline of the same
     machine without re-simulating it per point. *)
 
@@ -73,16 +83,15 @@ val run_setup : ctx -> Workload.t -> Runner.setup -> Runner.run
     {!T1000_ooo.Stats.t}; the run is rebuilt around it
     ({!Runner.with_stats}), so its [used] is always [s] and a repeated
     call returns the {e physically same} [stats].  Sound because a run is a pure function of those inputs.
-    The [T1000_MAX_CYCLES] cap and [Mconfig.progress_window] are
-    not in the key: they only decide whether a run raises, and a run
-    that raises is not cached ({!Memo} clears the pending slot), so
-    they cannot make a cached result wrong.  A machine's own
-    [max_cycles] (the daemon's per-request cycle budget) is in the
-    key. *)
+    [Mconfig.progress_window] is not in the key: it only decides
+    whether a run raises, and a run that raises is not cached
+    ({!Memo} clears the pending slot), so it cannot make a cached
+    result wrong.  A machine's [max_cycles] (the daemon's per-request
+    cycle budget) is in the key. *)
 
 val speedup_of : ctx -> Workload.t -> Runner.setup -> float
 (** Speedup of [run_setup] over {!baseline_for} the setup's own
-    machine: like with like, so under [T1000_BPRED] (or any other
+    machine: like with like, so under the ctx's [?bpred] (or any other
     machine change) the no-PFU baseline runs the same machine.  Every
     driver below and the {e lib/dse} engine score points with it. *)
 
@@ -242,7 +251,8 @@ val fan_out :
     hook applies here.
 
     With [?journal], each successful value is recorded under the key
-    [id/workload/label] as it completes, and a task whose key is
+    [id/workload/label] as it completes (plus [/bpred] when the ctx's
+    predictor is not [Perfect]), and a task whose key is
     already recorded is served from the journal without running
     [eval] ([?on_cached] is called once per such task).  The values
     are identical at any worker count and on resume. *)

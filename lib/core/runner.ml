@@ -41,16 +41,8 @@ let validate s =
   try T1000_bpred.Predictor.validate_spec s.machine.Mconfig.bpred
   with Invalid_argument m -> Fault.invalid_config "%s" m
 
-let setup ?(n_pfus = Some 2) ?(penalty = 10) ?selfcheck method_ =
-  let selfcheck =
-    match selfcheck with
-    | Some b -> b
-    | None -> Fault.getenv_bool "T1000_SELFCHECK"
-  in
-  let bpred =
-    try T1000_bpred.Predictor.env_spec ()
-    with Invalid_argument m -> Fault.invalid_config "%s" m
-  in
+let setup ?(n_pfus = Some 2) ?(penalty = 10)
+    ?(bpred = T1000_bpred.Predictor.Perfect) ?(selfcheck = false) method_ =
   let s =
     {
       method_;

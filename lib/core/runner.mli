@@ -43,17 +43,14 @@ type setup = {
           the architectural results against the functional interpreter *)
 }
 
-val setup : ?n_pfus:int option -> ?penalty:int -> ?selfcheck:bool ->
-  method_ -> setup
+val setup : ?n_pfus:int option -> ?penalty:int ->
+  ?bpred:T1000_bpred.Predictor.spec -> ?selfcheck:bool -> method_ -> setup
 (** Defaults: 2 PFUs, 10-cycle penalty, LRU, paper extraction and
-    selection parameters, the default machine.  [?selfcheck] defaults
-    to the [T1000_SELFCHECK] environment variable (strict boolean,
-    {!Fault.getenv_bool}); the machine's branch predictor defaults to
-    the [T1000_BPRED] environment variable
-    ({!T1000_bpred.Predictor.env_spec}, default [Perfect]).
+    selection parameters, the default machine with the [?bpred] branch
+    predictor (default [Perfect]), no self-check.
     @raise Fault.Error
       with [Invalid_config] if any field is out of range
-      ({!validate}) or [T1000_BPRED] is unparseable. *)
+      ({!validate}). *)
 
 val validate : setup -> unit
 (** Reject nonsensical setups before any simulation runs: [n_pfus]

@@ -25,7 +25,7 @@ type result = {
    what makes fan-out order irrelevant and the journal value stable
    across resumes. *)
 let eval_task ctx p (w : Workload.t) =
-  let s = Space.setup p in
+  let s = Space.setup ctx p in
   let table = T1000.Experiment.selection_table ctx w s in
   let area =
     List.fold_left

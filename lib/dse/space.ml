@@ -260,9 +260,9 @@ let machine_of_width = function
       }
   | w -> T1000.Fault.invalid_config "machine width must be 2, 4 or 8, got %d" w
 
-let setup p =
+let setup ctx p =
   let s =
-    T1000.Runner.setup ~n_pfus:(Some p.pfus) ~penalty:p.penalty
+    T1000.Experiment.setup ctx ~n_pfus:(Some p.pfus) ~penalty:p.penalty
       T1000.Runner.Selective
   in
   let s =

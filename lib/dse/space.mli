@@ -105,8 +105,9 @@ val machine_of_width : int -> T1000_ooo.Mconfig.t
     presets as the A5 ablation).
     @raise T1000.Fault.Error with [Invalid_config] on other widths. *)
 
-val setup : point -> T1000.Runner.setup
-(** The validated selective [Runner.setup] for a point. *)
+val setup : T1000.Experiment.ctx -> point -> T1000.Runner.setup
+(** The validated selective [Runner.setup] for a point, self-checked
+    if the ctx is ({!T1000.Experiment.setup}). *)
 
 val of_spec : string -> (t, string) result
 (** Parse a [--axes] override, e.g.

@@ -43,19 +43,6 @@ let () =
     | Selfcheck_violation m -> Some ("Sim self-check violation: " ^ m)
     | _ -> None)
 
-let env_max_cycles () =
-  match Sys.getenv_opt "T1000_MAX_CYCLES" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "T1000_MAX_CYCLES must be a positive integer, \
-                             got %S"
-               s))
-
 (* Slots of [run]'s charge vector: the counters a quiet cycle can add
    to (DESIGN.md Section 5k). *)
 let ruu_full = 0
@@ -620,11 +607,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   in
   (* Prime the lookahead so [finished] is meaningful for empty traces. *)
   ignore (peek ());
-  let max_cycles =
-    match env_max_cycles () with
-    | Some n -> Int.min n mconfig.Mconfig.max_cycles
-    | None -> mconfig.Mconfig.max_cycles
-  in
+  let max_cycles = mconfig.Mconfig.max_cycles in
   let progress_window = mconfig.Mconfig.progress_window in
   (* --- Dead-cycle skipping (DESIGN.md Section 5k) ---
      After a quiet cycle, every cycle before the event horizon repeats

@@ -83,13 +83,6 @@ exception Selfcheck_violation of string
 
 val pp_stuck : Format.formatter -> stuck -> unit
 
-val env_max_cycles : unit -> int option
-(** The [T1000_MAX_CYCLES] environment cap on
-    {!Mconfig.t.max_cycles}, if set and non-empty: {!run} uses the
-    smaller of the two.
-    @raise Invalid_argument
-      if the variable holds anything other than a positive integer. *)
-
 val run :
   ?mconfig:Mconfig.t ->
   ?ext_latency:(int -> int) ->
@@ -101,8 +94,7 @@ val run :
 (** Simulate the program to completion.
 
     Two watchdogs bound every run: a total cycle budget
-    ([mconfig.max_cycles], or the [T1000_MAX_CYCLES] environment
-    variable when that is smaller) and a forward-progress check (no
+    ([mconfig.max_cycles]) and a forward-progress check (no
     commit for [mconfig.progress_window] cycles while instructions are
     in flight).
     Either tripping raises {!Sim_stuck} with a diagnostic snapshot

@@ -49,6 +49,8 @@ type config = {
   njobs : int;
   default_deadline_ms : float option;
   max_steps : int;
+  bpred : T1000_bpred.Predictor.spec;
+  selfcheck : bool;
 }
 
 let default_config () =
@@ -58,6 +60,8 @@ let default_config () =
     njobs = Pool.default_njobs ();
     default_deadline_ms = None;
     max_steps = 10_000_000;
+    bpred = T1000_bpred.Predictor.Perfect;
+    selfcheck = false;
   }
 
 (* ---- jobs ---- *)
@@ -116,7 +120,10 @@ let create cfg =
   if cfg.addrs = [] then
     Fault.invalid_config "serve: no listen address (give --socket or --tcp)";
   validate cfg;
-  let ctx = Experiment.create_ctx ~workloads:[] ~max_steps:cfg.max_steps () in
+  let ctx =
+    Experiment.create_ctx ~workloads:[] ~max_steps:cfg.max_steps
+      ~bpred:cfg.bpred ~selfcheck:cfg.selfcheck ()
+  in
   let cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap in
   let listen_on addr =
     try
@@ -252,7 +259,7 @@ let resolve_kernel kernel =
             out_len = 0;
           })
 
-let setup_of_select (sel : Protocol.select) =
+let setup_of_select ctx (sel : Protocol.select) =
   (match sel.Protocol.max_cycles with
   | Some c when c <= 0 ->
       Fault.invalid_config "max_cycles must be positive, got %d" c
@@ -264,8 +271,8 @@ let setup_of_select (sel : Protocol.select) =
     | `Selective -> Runner.Selective
   in
   let s =
-    Runner.setup ~n_pfus:sel.Protocol.pfus ~penalty:sel.Protocol.penalty
-      method_
+    Experiment.setup ctx ~n_pfus:sel.Protocol.pfus
+      ~penalty:sel.Protocol.penalty method_
   in
   match sel.Protocol.max_cycles with
   | None -> s
@@ -286,7 +293,7 @@ let reply_key (sel : Protocol.select) =
    completed while it waited in the queue. *)
 let compute srv ~key (sel : Protocol.select) : Protocol.outcome =
   Tracer.with_span ~cat:"serve" "serve.compute" @@ fun () ->
-  let setup = setup_of_select sel in
+  let setup = setup_of_select srv.ctx sel in
   match Memo.find_opt srv.results key with
   | Some o -> { o with Protocol.cached = true }
   | None ->

@@ -70,13 +70,16 @@ type config = {
           non-halting program is a typed fault, not a wedged worker;
           a rewritten program is bounded by the simulator's cycle
           watchdog instead *)
+  bpred : T1000_bpred.Predictor.spec;  (** every request's predictor *)
+  selfcheck : bool;  (** self-check every simulation *)
 }
 
 val default_config : unit -> config
 (** No address ({!create} insists the caller names one), queue depth
     64, [T1000_NJOBS] workers, no default deadline, 10M functional
-    steps.  [t1000 serve] overrides them from its [--socket]/[--tcp],
-    [--queue], [--deadline] and [--max-steps] flags. *)
+    steps, the [Perfect] predictor, no self-check.  [t1000 serve]
+    overrides them from its [--socket]/[--tcp], [--queue],
+    [--deadline], [--max-steps], [--bpred] and [--selfcheck] flags. *)
 
 val validate : config -> unit
 (** The bounds {!create} checks before it binds, addresses aside:

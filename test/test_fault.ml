@@ -70,7 +70,9 @@ let test_fault_classify () =
     (String.length (Fault.to_string (Fault.Invalid_config "x")) > 0)
 
 let test_fault_getenv_bool () =
-  let get v = with_env "T1000_SELFCHECK" v (fun () -> Fault.getenv_bool "T1000_SELFCHECK") in
+  let get v =
+    with_env "T1000_METRICS" v (fun () -> Fault.getenv_bool "T1000_METRICS")
+  in
   check_bool "empty is false" false (get "");
   check_bool "0 is false" false (get "0");
   check_bool "no is false" false (get "no");
@@ -425,24 +427,25 @@ let test_watchdog_cycle_budget () =
         && s.Sim.cycle > 10
         && String.length (Format.asprintf "%a" Sim.pp_stuck s) > 0)
 
+(* The machine's budget is the one cycle cap: the simulator reads no
+   environment, so a T1000_MAX_CYCLES left in it neither lowers nor
+   raises that budget. *)
 let test_watchdog_env_override () =
-  let limit mconfig =
-    match Sim.run ~mconfig ~init:(fun _ _ -> ()) (loop_program ()) with
+  let limit max_cycles =
+    match
+      Sim.run
+        ~mconfig:{ Mconfig.default with Mconfig.max_cycles }
+        ~init:(fun _ _ -> ())
+        (loop_program ())
+    with
     | _ -> -1
     | exception Sim.Sim_stuck s ->
         if s.Sim.reason = `Cycle_budget then s.Sim.limit else -1
   in
   with_env "T1000_MAX_CYCLES" "5" (fun () ->
-      check_int "env caps a larger machine budget" 5 (limit Mconfig.default);
-      check_int "env never raises a machine budget" 3
-        (limit { Mconfig.default with Mconfig.max_cycles = 3 }));
-  with_env "T1000_MAX_CYCLES" "abc" (fun () ->
-      check_bool "garbage env rejected" true
-        (match Sim.env_max_cycles () with
-        | _ -> false
-        | exception Invalid_argument _ -> true));
-  with_env "T1000_MAX_CYCLES" "" (fun () ->
-      check_bool "empty means unset" true (Sim.env_max_cycles () = None))
+      check_int "the environment does not lower a machine budget" 30
+        (limit 30);
+      check_int "nor raise one" 3 (limit 3))
 
 let test_watchdog_no_commit () =
   (* One extended instruction that takes 200 cycles: commits stop for
@@ -508,8 +511,8 @@ let pfu_stalls (s : Sim.stuck) =
 
 let test_watchdog_budget_in_skipped_span () =
   let stuck limit selfcheck =
-    with_env "T1000_MAX_CYCLES" (string_of_int limit) (fun () ->
-        stuck_at ~mconfig:thrash_mconfig ~selfcheck)
+    stuck_at ~selfcheck
+      ~mconfig:{ thrash_mconfig with Mconfig.max_cycles = limit }
   in
   let skipping = stuck 300 false and audited = stuck 300 true in
   check_bool "identical snapshot with and without skipping" true
@@ -639,6 +642,32 @@ let test_kill_and_resume () =
     (recovered.Experiment.faults = []
     && recovered.Experiment.rows = clean.Experiment.rows)
 
+(* A journal recorded under one predictor must not serve its rows to a
+   resume under another: the ctx's predictor is part of every key. *)
+let test_resume_other_predictor () =
+  let dir = fresh_dir () in
+  let f6 ?journal ?bpred () =
+    let ctx =
+      Experiment.create_ctx ~workloads:[ workload "g721_dec" ] ?bpred ()
+    in
+    Experiment.figure6_result ?journal ctx
+  in
+  let gshare =
+    f6
+      ~journal:(Checkpoint.create ~fresh:true ~dir ~run:"f6" ())
+      ~bpred:(T1000_bpred.Predictor.Gshare 11) ()
+  in
+  let resumed = f6 ~journal:(Checkpoint.create ~dir ~run:"f6" ()) () in
+  let perfect = f6 () in
+  check_bool "every run is clean" true
+    (List.for_all
+       (fun p -> p.Experiment.faults = [])
+       [ gshare; resumed; perfect ]);
+  check_bool "the predictors' rows differ" true
+    (gshare.Experiment.rows <> perfect.Experiment.rows);
+  check_bool "resumed rows equal a fresh perfect run" true
+    (resumed.Experiment.rows = perfect.Experiment.rows)
+
 let () =
   Alcotest.run "t1000_fault"
     [
@@ -704,5 +733,7 @@ let () =
           Alcotest.test_case "injected fault isolated" `Slow
             test_injected_fault_isolated;
           Alcotest.test_case "kill and resume" `Slow test_kill_and_resume;
+          Alcotest.test_case "resume under another predictor" `Slow
+            test_resume_other_predictor;
         ] );
     ]

@@ -452,21 +452,21 @@ let test_run_key_empty_table () =
 (* ---------- like-with-like speedups ---------- *)
 
 (* Every speedup is taken against the no-PFU baseline on the same
-   machine: under T1000_BPRED, Figure 6's 2-PFU cell is the speedup of
-   a selective run over a baseline with the same speculative front
-   end, exactly as two plain Runner.run calls made under the same
-   environment measure it — not over the perfect-prediction default. *)
+   machine: on a gshare ctx, Figure 6's 2-PFU cell is the speedup of a
+   selective run over a baseline with the same speculative front end,
+   exactly as two plain Runner.run calls on that predictor measure it —
+   not over the perfect-prediction default. *)
 let test_speedup_same_machine () =
-  with_env "T1000_BPRED" "gshare@11" @@ fun () ->
   let w = workload "g721_dec" in
-  let ctx = Experiment.create_ctx ~workloads:[ w ] () in
+  let bpred = T1000_bpred.Predictor.Gshare 11 in
+  let ctx = Experiment.create_ctx ~workloads:[ w ] ~bpred () in
   let f6 = Experiment.figure6_result ctx in
   check_int "figure 6 has no faults" 0 (List.length f6.Experiment.faults);
   let expected =
     Runner.speedup
-      ~baseline:(Runner.run w (Runner.setup Runner.Baseline))
+      ~baseline:(Runner.run w (Runner.setup ~bpred Runner.Baseline))
       (Runner.run w
-         (Runner.setup ~n_pfus:(Some 2) ~penalty:10 Runner.Selective))
+         (Runner.setup ~n_pfus:(Some 2) ~penalty:10 ~bpred Runner.Selective))
   in
   Alcotest.(check (float 0.0))
     "2-PFU cell = Runner speedup against a same-predictor baseline" expected

@@ -512,16 +512,18 @@ let test_memo_find_opt () =
 (* ---------- end-to-end daemon sessions ---------- *)
 
 let with_server ?(queue = 8) ?(njobs = 2) ?default_deadline_ms
-    ?(max_steps = 10_000_000) f =
+    ?(max_steps = 10_000_000) ?(bpred = T1000_bpred.Predictor.Perfect) f =
   with_env calm_env @@ fun () ->
   let path = fresh_sock () in
   let cfg =
     {
+      (Server.default_config ()) with
       Server.addrs = [ Server.Unix_sock path ];
       queue_depth = queue;
       njobs;
       default_deadline_ms;
       max_steps;
+      bpred;
     }
   in
   let srv = Server.create cfg in
@@ -644,28 +646,22 @@ let test_e2e_fault_isolation () =
   | _ -> Alcotest.fail "daemon must keep serving after poisoned requests"
 
 (* A cycle budget far below what unepic needs: the sim watchdog trips
-   and its RUU/PFU diagnostic snapshot rides back in the reply.
-   [T1000_MAX_CYCLES] only caps budgets, so a daemon started under a
-   generous one still honours the request's own. *)
+   and its RUU/PFU diagnostic snapshot rides back in the reply. *)
 let test_e2e_sim_budget_timeout () =
-  let budget_timeout () =
-    with_server @@ fun _srv addr ->
-    let c = connect_exn addr in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    match request_exn c (sel ~max_cycles:500 ()) with
-    | `Error (Protocol.Timeout, msg) ->
-        check_bool "carries the watchdog diagnosis" true
-          (contains ~affix:"stuck" msg);
-        check_bool "carries RUU occupancy" true
-          (contains ~affix:"RUU" msg
-          || contains ~affix:"ruu" msg)
-    | `Error (c', m) ->
-        Alcotest.failf "expected Timeout, got %s: %s"
-          (Protocol.string_of_code c') m
-    | _ -> Alcotest.fail "expected a typed timeout"
-  in
-  budget_timeout ();
-  with_env [ ("T1000_MAX_CYCLES", "1000000000") ] budget_timeout
+  with_server @@ fun _srv addr ->
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match request_exn c (sel ~max_cycles:500 ()) with
+  | `Error (Protocol.Timeout, msg) ->
+      check_bool "carries the watchdog diagnosis" true
+        (contains ~affix:"stuck" msg);
+      check_bool "carries RUU occupancy" true
+        (contains ~affix:"RUU" msg
+        || contains ~affix:"ruu" msg)
+  | `Error (c', m) ->
+      Alcotest.failf "expected Timeout, got %s: %s"
+        (Protocol.string_of_code c') m
+  | _ -> Alcotest.fail "expected a typed timeout"
 
 let test_e2e_deadline () =
   with_server @@ fun _srv addr ->
@@ -810,11 +806,10 @@ let test_e2e_chaos_soak () =
       let srv =
         Server.create
           {
+            (Server.default_config ()) with
             Server.addrs = [ Server.Unix_sock path ];
             queue_depth = 16;
             njobs = 2;
-            default_deadline_ms = None;
-            max_steps = 10_000_000;
           }
       in
       let th = Thread.create Server.run srv in
@@ -869,11 +864,10 @@ let test_e2e_drain_in_flight () =
   let srv =
     Server.create
       {
+        (Server.default_config ()) with
         Server.addrs = [ Server.Unix_sock path ];
         queue_depth = 8;
         njobs = 1;
-        default_deadline_ms = None;
-        max_steps = 10_000_000;
       }
   in
   let th = Thread.create Server.run srv in
@@ -909,11 +903,10 @@ let test_e2e_tcp () =
   let srv =
     Server.create
       {
+        (Server.default_config ()) with
         Server.addrs = [ Server.Tcp ("127.0.0.1", 0) ];
         queue_depth = 4;
         njobs = 1;
-        default_deadline_ms = None;
-        max_steps = 10_000_000;
       }
   in
   let addr =
@@ -1141,7 +1134,7 @@ let test_e2e_memo_cap () =
 (* The request's numbers recomputed on a fresh Experiment ctx, with
    the kernel resolved here rather than by the server: a registry name,
    or an assembler kernel as a workload named by its digest. *)
-let recompute (s : Protocol.select) =
+let recompute ?bpred (s : Protocol.select) =
   let module R = T1000.Runner in
   let w =
     match s.Protocol.kernel with
@@ -1163,8 +1156,10 @@ let recompute (s : Protocol.select) =
     | `Greedy -> R.Greedy
     | `Selective -> R.Selective
   in
-  let setup = R.setup ~n_pfus:s.Protocol.pfus ~penalty:s.Protocol.penalty method_ in
-  let ctx = T1000.Experiment.create_ctx ~workloads:[] () in
+  let setup =
+    R.setup ~n_pfus:s.Protocol.pfus ~penalty:s.Protocol.penalty ?bpred method_
+  in
+  let ctx = T1000.Experiment.create_ctx ~workloads:[] ?bpred () in
   let r = T1000.Experiment.run_setup ctx w setup in
   let base = T1000.Experiment.baseline_for ctx w setup.R.machine in
   ( r.R.stats.T1000_ooo.Stats.cycles,
@@ -1191,6 +1186,27 @@ let test_e2e_recompute () =
       ("registry kernel", sel ~penalty:20 ());
       ("asm kernel", sel ~kernel:(tiny_asm ~salt:"recompute" ()) ~method_:`Greedy ());
     ]
+
+(* A daemon's predictor is the machine of every request it answers. *)
+let test_e2e_recompute_bpred () =
+  let bpred = T1000_bpred.Predictor.Gshare 11 in
+  with_server ~bpred @@ fun _srv addr ->
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let s = sel ~penalty:20 () in
+  match request_exn c s with
+  | `Outcome o ->
+      let got =
+        ( o.Protocol.cycles,
+          o.Protocol.baseline_cycles,
+          o.Protocol.ext_count,
+          o.Protocol.speedup )
+      in
+      check_bool "equals a fresh ctx on the same predictor" true
+        (got = recompute ~bpred s);
+      check_bool "differs from the perfect predictor's" true
+        (got <> recompute s)
+  | _ -> Alcotest.fail "expected an outcome"
 
 (* Greedy and selective with unlimited PFUs pick the same table on
    unepic: the ctx's input-keyed run memo simulates it once for both. *)
@@ -1227,11 +1243,10 @@ let test_stale_socket () =
     ((Unix.lstat path).Unix.st_kind = Unix.S_SOCK);
   let cfg =
     {
+      (Server.default_config ()) with
       Server.addrs = [ Server.Unix_sock path ];
       queue_depth = 4;
       njobs = 1;
-      default_deadline_ms = None;
-      max_steps = 10_000_000;
     }
   in
   let srv = Server.create cfg in
@@ -1612,6 +1627,8 @@ let () =
           Alcotest.test_case "memo cap" `Quick test_e2e_memo_cap;
           Alcotest.test_case "recompute on a fresh ctx" `Quick
             test_e2e_recompute;
+          Alcotest.test_case "the daemon's predictor" `Quick
+            test_e2e_recompute_bpred;
           Alcotest.test_case "shared simulation" `Quick
             test_e2e_shared_simulation;
           Alcotest.test_case "stale socket" `Quick test_stale_socket;
